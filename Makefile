@@ -34,7 +34,7 @@ BIG_ROWS          = 100000
 SKIP_MIN_GAIN     = 3
 PERF_FLAGS_BIG    = -max-p50-ratio 4 -max-p99-ratio 4 -min-throughput-ratio 0.2 -min-rows-ratio 0.5 -min-morsels-skipped 1 -summary $(PERF_SUMMARY_BIG)
 
-.PHONY: all build test vet fmt cover bench baseline baseline-big perf-gate metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz-wal speedup skipgain serve ci
+.PHONY: all build test vet fmt cover bench baseline baseline-big perf-gate metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz-wal skipgain serve ci
 
 all: build
 
@@ -70,14 +70,11 @@ cover:
 # enough for CI while still executing each pipeline end to end, and
 # -benchmem records B/op + allocs/op for every benchmark (the
 # allocation columns of BenchmarkPlanExec/BenchmarkPlanExecSQL/
-# BenchmarkStoreSnapshot are the hot-path budget). The morsel-executor
-# benchmarks then rerun at -cpu 1,4 so the serial-vs-parallel cost of
-# the plan kernels is on record for both a starved and a multicore
-# box. The output lands in bench.out (gitignored) so CI can upload it
-# as an artifact and the perf trajectory stays recorded.
+# BenchmarkStoreSnapshot are the hot-path budget). The output lands in
+# bench.out (gitignored) so CI can upload it as an artifact and the
+# perf trajectory stays recorded.
 bench:
 	@$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./... > bench.out 2>&1 || { cat bench.out; exit 1; }
-	@$(GO) test -run='^$$' -bench='BenchmarkBigTable' -benchtime=1x -benchmem -cpu 1,4 ./internal/plan/ >> bench.out 2>&1 || { cat bench.out; exit 1; }
 	@cat bench.out
 	@echo "benchstat-friendly output written to $$(pwd)/bench.out"
 
@@ -88,13 +85,13 @@ bench:
 store-stress:
 	$(GO) test -race -run 'Store|Zone|Segment' -count=2 ./internal/store/... ./internal/engine/... ./internal/table/... ./internal/segment/...
 
-# bigtable-stress is the data-race gate for the morsel-parallel
-# executor: the forced-parallel differential suites, the NaN/tie and
-# cancellation tests, and the engine-level hammer (8 query goroutines
-# racing a store mutator over a pinned snapshot) all rerun under the
-# race detector.
+# bigtable-stress is the data-race gate for big-table execution: the
+# plan-level NaN/tie, cancellation and zone-forced kernel tests, the
+# zone-forced differential suites over the dcs and minisql corpora,
+# and the engine-level hammer (8 query goroutines racing a store
+# mutator over a pinned snapshot) all rerun under the race detector.
 bigtable-stress:
-	$(GO) test -race -run BigTable -count=1 ./internal/plan/... ./internal/engine/...
+	$(GO) test -race -run 'BigTable|Zone' -count=1 ./internal/plan/... ./internal/engine/...
 	$(GO) test -race -run 'TestPlanDifferentialParallel|TestSQLPlanDifferentialParallel' -count=1 ./internal/dcs/... ./internal/minisql/...
 
 # crash-stress is the durability gate: a real wtq-server (built -race)
@@ -143,11 +140,7 @@ baseline-big:
 # scrape succeeds and is non-empty, so the observability surface is
 # load-tested on every gate run. The second leg reruns the gate with
 # the bigtable mix, whose compare additionally enforces the rows/sec
-# scan-throughput floor, and the speedup step appends the measured
-# serial-vs-parallel ratios (with GOMAXPROCS disclosed) to the summary
-# artifact — it hard-fails if parallel answers ever diverge from
-# serial, so result identity is load-tested on every gate run too.
-# The skipgain step then proves the zone-map layer earns its keep:
+# scan-throughput floor. The skipgain step then proves the zone-map layer earns its keep:
 # high-selectivity range counts must run >= $(SKIP_MIN_GAIN)x faster
 # with skipping on than off, with identical answers and a moving
 # skipped-morsel counter.
@@ -160,15 +153,8 @@ perf-gate:
 	$(GO) run ./cmd/wtq-bench compare $(PERF_FLAGS) $(PERF_BASELINE) $(PERF_REPORT)
 	$(GO) run ./cmd/wtq-bench run -seed 1 -mix bigtable -big-rows $(BIG_ROWS) -ops 200 -workers 4 -data-dir perf_data/big -out $(PERF_REPORT_BIG)
 	$(GO) run ./cmd/wtq-bench compare $(PERF_FLAGS_BIG) $(PERF_BASELINE_BIG) $(PERF_REPORT_BIG)
-	$(GO) run ./cmd/wtq-bench speedup -rows 1000000 -summary $(PERF_SUMMARY)
 	$(GO) run ./cmd/wtq-bench skipgain -rows 1000000 -min-gain $(SKIP_MIN_GAIN) -summary $(PERF_SUMMARY_BIG)
 	rm -rf perf_data
-
-# speedup runs the big-table query families serial and morsel-parallel
-# back to back, verifies bitwise-identical results, and prints the
-# per-family speedup with GOMAXPROCS disclosed.
-speedup:
-	$(GO) run ./cmd/wtq-bench speedup -rows 1000000
 
 # skipgain runs selective range counts over the big table with
 # zone-map skipping off vs on, verifies identical answers, and

@@ -7,7 +7,6 @@
 //	run       drive a workload and write a JSON report
 //	baseline  run with the CI-canonical settings and write bench_baseline.json
 //	compare   diff a fresh report against a baseline; exit 1 on regression
-//	speedup   time identical big-table queries serial vs morsel-parallel
 //	skipgain  time selective big-table range counts with zone-map
 //	          skipping off vs on, verify identical answers, and gate on
 //	          the high-selectivity speedup
@@ -24,7 +23,6 @@
 //	wtq-bench run -mix mixed -ops 600 -target http://localhost:8080
 //	wtq-bench baseline
 //	wtq-bench compare -max-p99-ratio 1.5 bench_baseline.json report.json
-//	wtq-bench speedup -rows 1000000 -exec-workers 8 -summary perf_summary.txt
 //	wtq-bench skipgain -rows 1000000 -min-gain 3 -summary perf_summary.txt
 //	wtq-bench chaos -seed 7 -cycles 25 -recovery-bound 10s
 //
@@ -54,7 +52,6 @@ import (
 	"strings"
 	"time"
 
-	"nlexplain/internal/dcs"
 	"nlexplain/internal/engine"
 	"nlexplain/internal/minisql"
 	"nlexplain/internal/plan"
@@ -66,13 +63,11 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-const usage = `usage: wtq-bench <run|baseline|compare|speedup|skipgain|chaos> [flags]
+const usage = `usage: wtq-bench <run|baseline|compare|skipgain|chaos> [flags]
 
   run       drive a workload and write a JSON report
   baseline  run with CI-canonical settings, writing bench_baseline.json
   compare   diff two reports (baseline, current); exit 1 on regression
-  speedup   run big-table queries serial vs morsel-parallel, verify
-            identical results and report the speedup
   skipgain  run selective big-table range counts with zone-map skipping
             off vs on, verify identical answers and report the gain
   chaos     drive seeded fault/recovery cycles against a durable engine
@@ -94,8 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdRun(args[1:], runDefaults{seed: 1, mix: "mixed", ops: 600, workers: 4, out: "bench_baseline.json"}, stdout, stderr)
 	case "compare":
 		return cmdCompare(args[1:], stdout, stderr)
-	case "speedup":
-		return cmdSpeedup(args[1:], stdout, stderr)
 	case "skipgain":
 		return cmdSkipgain(args[1:], stdout, stderr)
 	case "chaos":
@@ -282,157 +275,6 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 	return 1
 }
 
-// cmdSpeedup times identical compiled queries over a generated big
-// table twice — once with the morsel-parallel executor pinned to one
-// worker (serial) and once with -exec-workers workers — verifies the
-// two runs produce bitwise-identical answers and witness cells, and
-// reports the per-family speedup. The numbers are honest about the
-// host: GOMAXPROCS is recorded alongside, and on a single-CPU machine
-// the expected speedup is ~1x (the parallel path still runs, it just
-// timeslices). CI appends the output to perf_summary.txt.
-func cmdSpeedup(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("speedup", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	seed := fs.Int64("seed", 1, "corpus seed; same seed -> same big table")
-	rows := fs.Int("rows", 1_000_000, "row count of the generated big table")
-	execWorkers := fs.Int("exec-workers", 8, "executor worker count for the parallel runs")
-	iters := fs.Int("iters", 3, "timed iterations per configuration (best-of)")
-	summary := fs.String("summary", "", "append the speedup report to this file")
-	minSpeedup := fs.Float64("min-speedup", 0,
-		"fail unless every family reaches this speedup (0 = report only; >1 is only meaningful on multi-CPU hosts)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	corpus := workload.NewCorpusSized(*seed, *rows)
-	tab, ok := corpus.Table(workload.TableBig)
-	if !ok {
-		fmt.Fprintln(stderr, "wtq-bench: sized corpus has no big table")
-		return 1
-	}
-
-	// One representative query per bigtable family, built as ASTs so
-	// the measurement isolates plan execution (no parse in the loop).
-	families := []struct {
-		name string
-		expr dcs.Expr
-	}{
-		// != takes the posting-list complement scan — an O(rows) kernel
-		// on both paths. Ordered comparisons would answer from the
-		// sorted column index (sublinear, never parallel) and measure
-		// nothing.
-		{"filter", &dcs.Aggregate{Fn: dcs.Count, Arg: &dcs.Compare{Column: "Games", Op: dcs.Ne, V: table.NumberValue(500_000)}}},
-		// The record set is restricted to roughly half the table so the
-		// argmax takes the subset scan path rather than the full-table
-		// sorted-index fast path, which would measure nothing.
-		{"superlative", &dcs.ColumnValues{Column: "Nation", Records: &dcs.ArgRecords{
-			Max: true, Column: "Year",
-			Records: &dcs.Compare{Column: "Games", Op: dcs.Ge, V: table.NumberValue(500_000)},
-		}}},
-		// Two cardinality regimes: Year projects to ~40 distinct values
-		// (the dedup shrinks in the morsels, the merge is trivial);
-		// Games projects to ~n distinct (the serial dedup-merge
-		// dominates — the parallel path's worst case).
-		{"agg_narrow", &dcs.Aggregate{Fn: dcs.Sum, Arg: &dcs.ColumnValues{Column: "Year", Records: &dcs.AllRecords{}}}},
-		{"agg_wide", &dcs.Aggregate{Fn: dcs.Sum, Arg: &dcs.ColumnValues{Column: "Games", Records: &dcs.AllRecords{}}}},
-	}
-
-	// best runs a compiled query iters times (plus one warm-up) under
-	// the current executor configuration and returns the last result
-	// with the best wall time.
-	best := func(c *dcs.Compiled) (*dcs.Result, time.Duration, error) {
-		res, err := c.ExecuteWith(tab, plan.Capture{})
-		if err != nil {
-			return nil, 0, err
-		}
-		bestD := time.Duration(math.MaxInt64)
-		for i := 0; i < *iters; i++ {
-			start := time.Now()
-			res, err = c.ExecuteWith(tab, plan.Capture{})
-			if err != nil {
-				return nil, 0, err
-			}
-			if d := time.Since(start); d < bestD {
-				bestD = d
-			}
-		}
-		return res, bestD, nil
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "speedup: rows=%d exec-workers=%d gomaxprocs=%d iters=%d\n",
-		tab.NumRows(), *execWorkers, runtime.GOMAXPROCS(0), *iters)
-
-	prevWorkers := plan.SetExecWorkers(1)
-	defer plan.SetExecWorkers(prevWorkers)
-	worst := math.Inf(1)
-	for _, fam := range families {
-		c, err := dcs.Compile(fam.expr, tab)
-		if err != nil {
-			fmt.Fprintf(stderr, "wtq-bench: compiling %s query: %v\n", fam.name, err)
-			return 1
-		}
-		// Warm both configurations first (lazy column indexes, pool
-		// growth), then settle the heap before each timed phase so the
-		// first phase doesn't absorb the corpus-construction GC debt.
-		for _, w := range []int{1, *execWorkers} {
-			plan.SetExecWorkers(w)
-			if _, err := c.ExecuteWith(tab, plan.Capture{}); err != nil {
-				fmt.Fprintf(stderr, "wtq-bench: warming %s query: %v\n", fam.name, err)
-				return 1
-			}
-		}
-		runtime.GC()
-		plan.SetExecWorkers(1)
-		serialRes, serialD, err := best(c)
-		if err != nil {
-			fmt.Fprintf(stderr, "wtq-bench: serial %s run: %v\n", fam.name, err)
-			return 1
-		}
-		runtime.GC()
-		plan.SetExecWorkers(*execWorkers)
-		_, _, morselsBefore := plan.ExecStats()
-		parRes, parD, err := best(c)
-		_, _, morselsAfter := plan.ExecStats()
-		if err != nil {
-			fmt.Fprintf(stderr, "wtq-bench: parallel %s run: %v\n", fam.name, err)
-			return 1
-		}
-		if !reflect.DeepEqual(serialRes, parRes) {
-			fmt.Fprintf(stderr, "wtq-bench: %s: parallel result differs from serial (answers or witness cells)\n", fam.name)
-			return 1
-		}
-		sp := float64(serialD) / float64(parD)
-		if sp < worst {
-			worst = sp
-		}
-		fmt.Fprintf(&b, "  %-12s serial=%-10s parallel=%-10s speedup=%.2fx rows/sec=%.0f morsels=%d identical=true\n",
-			fam.name, serialD.Round(time.Microsecond), parD.Round(time.Microsecond),
-			sp, float64(tab.NumRows())/parD.Seconds(), morselsAfter-morselsBefore)
-	}
-
-	fmt.Fprint(stdout, b.String())
-	if *summary != "" {
-		f, err := os.OpenFile(*summary, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err == nil {
-			_, err = f.WriteString("\n" + b.String())
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "wtq-bench: writing summary: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "speedup report appended to %s\n", *summary)
-	}
-	if *minSpeedup > 0 && worst < *minSpeedup {
-		fmt.Fprintf(stdout, "FAIL: worst-family speedup %.2fx below required %.2fx\n", worst, *minSpeedup)
-		return 1
-	}
-	return 0
-}
-
 // cmdSkipgain measures what the zone-map layer is for: identical fused
 // range counts over the big table's monotone Seq column are timed with
 // zone-map skipping disabled (every morsel scanned) and enabled (zones
@@ -532,9 +374,9 @@ func cmdSkipgain(args []string, stdout, stderr io.Writer) int {
 		}
 		runtime.GC()
 		plan.SetZoneSkipping(true)
-		skipBefore, cutBefore := plan.SkipStats()
+		_, skipBefore, cutBefore := plan.ExecStats()
 		onRes, onD, err := best(q)
-		skipAfter, cutAfter := plan.SkipStats()
+		_, skipAfter, cutAfter := plan.ExecStats()
 		if err != nil {
 			fmt.Fprintf(stderr, "wtq-bench: zones-on %s run: %v\n", p.name, err)
 			return 1

@@ -618,7 +618,6 @@ func demoTable(e *nlexplain.Engine) error {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	execWorkers := flag.Int("exec-workers", 0, "morsel-parallel executor workers per query (0 = GOMAXPROCS, 1 = serial)")
 	cacheSize := flag.Int("cache", 0, "LRU cache entries per cache (0 = default)")
 	timeout := flag.Duration("timeout", 0, "per-query timeout (0 = default 10s)")
 	storeBudget := flag.Int64("store-budget", 0, "table store byte budget; over it cold tables' derived indexes are evicted (0 = unlimited)")
@@ -636,7 +635,6 @@ func main() {
 		CacheSize:          *cacheSize,
 		QueryTimeout:       *timeout,
 		StoreByteBudget:    *storeBudget,
-		ExecWorkers:        *execWorkers,
 		DataDir:            *dataDir,
 		WALSyncWindow:      *walSyncWindow,
 		CheckpointInterval: *checkpointInterval,

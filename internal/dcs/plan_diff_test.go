@@ -303,21 +303,16 @@ func TestResultRowsDoNotAliasTableIndex(t *testing.T) {
 }
 
 // TestPlanDifferentialParallel runs the whole differential corpus a
-// third way: through the plan path with the morsel-parallel executor
-// forced on (8 workers, threshold 1, so even fixture-sized inputs take
-// the parallel kernels) and zone-map consultation forced (threshold 0,
-// skipping enabled). The reference run is serial with zone skipping
-// disabled, so a verdict bug in either the parallel kernels or the
+// third way: through the plan path with zone-map consultation forced
+// (threshold 0, so even fixture-sized tables consult their zones). The
+// reference run has zone skipping disabled, so a verdict bug in the
 // zone layer diverges. Answers, witness cells and error texts must
-// match exactly.
+// match exactly. (The name predates the removal of the morsel-parallel
+// executor this test used to force on as well.)
 func TestPlanDifferentialParallel(t *testing.T) {
-	prevW := plan.SetExecWorkers(8)
-	prevT := plan.SetParallelThreshold(1)
 	prevZOn := plan.SetZoneSkipping(true)
 	prevZT := plan.SetZoneSkipThreshold(0)
 	defer func() {
-		plan.SetExecWorkers(prevW)
-		plan.SetParallelThreshold(prevT)
 		plan.SetZoneSkipping(prevZOn)
 		plan.SetZoneSkipThreshold(prevZT)
 	}()
@@ -329,18 +324,16 @@ func TestPlanDifferentialParallel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Parse(%q): %v", tc.src, err)
 			}
-			plan.SetExecWorkers(1)
 			plan.SetZoneSkipping(false)
 			want, werr := Execute(e, tab)
-			plan.SetExecWorkers(8)
 			plan.SetZoneSkipping(true)
 			got, gerr := Execute(e, tab)
 			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("error divergence: serial=%v parallel=%v", werr, gerr)
+				t.Fatalf("error divergence: zones-off=%v zones-forced=%v", werr, gerr)
 			}
 			if werr != nil {
 				if werr.Error() != gerr.Error() {
-					t.Fatalf("error text diverged:\nserial:   %v\nparallel: %v", werr, gerr)
+					t.Fatalf("error text diverged:\nzones-off:    %v\nzones-forced: %v", werr, gerr)
 				}
 				return
 			}
@@ -351,8 +344,8 @@ func TestPlanDifferentialParallel(t *testing.T) {
 
 // BenchmarkCompiledBigNe times a compiled count-over-inequality on a
 // 2^20-row table through the full dcs execution path (with witness
-// cells), serial vs morsel-parallel — the query shape the bigtable
-// workload's filter family stresses.
+// cells) — the query shape the bigtable workload's filter family
+// stresses.
 func BenchmarkCompiledBigNe(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	nations := []string{"Greece", "France", "China", "UK", "Brazil", "Fiji"}
@@ -366,20 +359,11 @@ func BenchmarkCompiledBigNe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 8}} {
-		b.Run(mode.name, func(b *testing.B) {
-			prev := plan.SetExecWorkers(mode.workers)
-			defer plan.SetExecWorkers(prev)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.ExecuteWith(tab, plan.Capture{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.ExecuteWith(tab, plan.Capture{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"nlexplain/internal/plan"
 	"nlexplain/internal/table"
 )
 
@@ -36,19 +35,13 @@ func bigTable(tb testing.TB, n int) *table.Table {
 	return t
 }
 
-// TestBigTableParallelHammer drives parallel-eligible queries from
-// several goroutines while a mutator churns the table with appends:
-// every execution must run against the snapshot it pinned (version
-// stamps prove it), with the morsel workers racing the store's
-// mutation path. Run under -race this is the data-race gate for the
-// parallel executor.
+// TestBigTableParallelHammer drives big-table scans from several
+// goroutines in parallel while a mutator churns the table with
+// appends: every execution must run against the snapshot it pinned
+// (version stamps prove it), with the scans racing the store's
+// mutation path. Run under -race this is the data-race gate for
+// concurrent big-table execution.
 func TestBigTableParallelHammer(t *testing.T) {
-	prevW := plan.SetExecWorkers(8)
-	prevT := plan.SetParallelThreshold(1 << 14)
-	defer func() {
-		plan.SetExecWorkers(prevW)
-		plan.SetParallelThreshold(prevT)
-	}()
 	e := New(Options{CacheSize: 8, Workers: 4, QueryTimeout: time.Minute})
 	e.RegisterTable(bigTable(t, 1<<16))
 
@@ -89,7 +82,7 @@ func TestBigTableParallelHammer(t *testing.T) {
 			for i := 0; i < opsPer; i++ {
 				// Distinct literals per op defeat the answer cache, so
 				// every call really scans; != keeps the scan on the
-				// morsel-parallel complement kernel.
+				// full-table complement kernel.
 				q := fmt.Sprintf("count(Games!=%d)", g*1000+i)
 				a, _, err := e.ExplainAnswer(context.Background(), "big", q)
 				if errors.Is(err, ErrOverloaded) {
@@ -111,16 +104,10 @@ func TestBigTableParallelHammer(t *testing.T) {
 	mutator.Wait()
 }
 
-// TestBigTableDeadline verifies a morsel-parallel scan honors the
-// engine's query deadline: with a nanosecond budget the executor's
-// context polling must abort the scan and surface the timeout.
+// TestBigTableDeadline verifies a big-table scan honors the engine's
+// query deadline: with a nanosecond budget the executor's context
+// polling must abort the scan and surface the timeout.
 func TestBigTableDeadline(t *testing.T) {
-	prevW := plan.SetExecWorkers(8)
-	prevT := plan.SetParallelThreshold(1 << 14)
-	defer func() {
-		plan.SetExecWorkers(prevW)
-		plan.SetParallelThreshold(prevT)
-	}()
 	e := New(Options{CacheSize: 8, Workers: 2, QueryTimeout: time.Nanosecond})
 	e.RegisterTable(bigTable(t, 1<<16))
 	_, _, err := e.ExplainAnswer(context.Background(), "big", "count(Games!=7)")

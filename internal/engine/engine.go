@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -64,12 +63,6 @@ type Options struct {
 	// over it, cold tables' derived indexes are evicted (base data
 	// never is). 0 means unlimited.
 	StoreByteBudget int64
-	// ExecWorkers caps the morsel-parallel executor's workers per
-	// query (see internal/plan). The setting is process-global — the
-	// executor's worker pool is shared across engines. 0 leaves the
-	// current setting untouched (default GOMAXPROCS); 1 forces serial
-	// execution.
-	ExecWorkers int
 	// DataDir enables durable storage: the table store writes every
 	// catalog mutation to a write-ahead log under this directory and
 	// compacts it into columnar segment checkpoints, so registered
@@ -189,9 +182,6 @@ func New(opts Options) *Engine {
 // durable startup failures (recovery refuses corrupt logs/segments).
 func Open(opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
-	if opts.ExecWorkers > 0 {
-		plan.SetExecWorkers(opts.ExecWorkers)
-	}
 	sopts := store.Options{
 		Shards:     opts.StoreShards,
 		ByteBudget: opts.StoreByteBudget,
@@ -521,8 +511,8 @@ func (e *Engine) compiledPlan(snap *store.Snapshot, q dcs.Expr, query string) (*
 // (execute, provenance+highlight, sample, utter, translate), then the
 // engine's extra provenance projection. The leader's request ctx is
 // threaded into plan execution, so a caller that gave up stops the
-// scan at the next morsel/row-batch boundary instead of burning it
-// to completion.
+// scan at the next row-batch boundary instead of burning it to
+// completion.
 func (e *Engine) compute(ctx context.Context, snap *store.Snapshot, tableName, query string) (*Explanation, error) {
 	start := time.Now()
 	q, err := e.parseQuery(query)
@@ -541,10 +531,9 @@ func (e *Engine) compute(ctx context.Context, snap *store.Snapshot, tableName, q
 		doc *export.ExplanationJSON
 		h   *provenance.Highlights
 	)
-	// Morsel workers inherit these labels (goroutines inherit their
-	// creator's pprof labels), so -pprof profiles attribute CPU to
-	// query families even for fanned-out scans.
-	pprof.Do(ctx, execLabels(c, tab, tableName), func(ctx context.Context) {
+	// -pprof profiles attribute CPU to query families through these
+	// labels.
+	pprof.Do(ctx, execLabels(c, tableName), func(ctx context.Context) {
 		doc, h, err = export.BuildCompiledCtx(ctx, c, tab, e.opts.SampleThreshold)
 	})
 	if err != nil {
@@ -566,14 +555,9 @@ func (e *Engine) compute(ctx context.Context, snap *store.Snapshot, tableName, q
 }
 
 // execLabels builds the pprof label set attached around plan
-// execution: the plan's query family, the table name, and whether the
-// table is large enough for the morsel-parallel path.
-func execLabels(c *dcs.Compiled, tab *table.Table, tableName string) pprof.LabelSet {
-	return pprof.Labels(
-		"query_family", plan.FamilyOf(c.Root),
-		"table", tableName,
-		"parallel", strconv.FormatBool(plan.ParallelEligible(tab.NumRows())),
-	)
+// execution: the plan's query family and the table name.
+func execLabels(c *dcs.Compiled, tableName string) pprof.LabelSet {
+	return pprof.Labels("query_family", plan.FamilyOf(c.Root), "table", tableName)
 }
 
 // isCtxErr reports whether err is a context cancellation or deadline
@@ -640,7 +624,7 @@ func (e *Engine) explain(ctx context.Context, tableName, query string) (*Explana
 
 	// The pipeline runs in its own goroutine under the leader's request
 	// context: the executor polls it, so an abandoned scan stops at the
-	// next morsel/row-batch boundary instead of running to completion.
+	// next row-batch boundary instead of running to completion.
 	// Concurrent requests for the same key join one in-flight
 	// computation rather than duplicating it; a follower whose own
 	// budget is still live when the leader's context dies retakes the
@@ -748,7 +732,7 @@ func (e *Engine) computeAnswer(ctx context.Context, snap *store.Snapshot, tableN
 		return nil, fmt.Errorf("compiling %s on %s: %w", q, tableName, err)
 	}
 	var res *dcs.Result
-	pprof.Do(ctx, execLabels(c, snap.PlanTable(), tableName), func(ctx context.Context) {
+	pprof.Do(ctx, execLabels(c, tableName), func(ctx context.Context) {
 		res, err = c.ExecuteSourceCtx(ctx, snap, plan.Noop{})
 	})
 	if err != nil {

@@ -76,28 +76,16 @@ func (e *Engine) initMetrics() {
 		batchLatency:   r.LatencyHistogram("batch.latency.seconds", "ExplainBatch wall-clock latency"),
 		admitWait:      r.LatencyHistogram("admission.wait.seconds", "admitted computations' wait for a worker slot"),
 	}
-	// Morsel-parallel executor series. The executor's counters and
-	// worker cap are process-global (the worker pool is shared across
-	// engines), so these read straight from internal/plan at scrape
-	// time; the per-morsel latency histogram is fed through the plan
-	// package's observer hook, which the most recently built engine
-	// owns.
-	r.GaugeFunc("exec.workers", "morsel-parallel executor per-query worker cap (process-global)",
-		func() int64 { return int64(plan.ExecWorkers()) })
+	// Plan executor series. The executor's counters are process-global,
+	// so these read straight from internal/plan at scrape time.
 	r.GaugeFunc("gomaxprocs", "runtime GOMAXPROCS",
 		func() int64 { return int64(runtime.GOMAXPROCS(0)) })
-	r.CounterFunc("exec.parallel.runs", "plan executions that used the morsel-parallel path",
-		func() uint64 { p, _, _ := plan.ExecStats(); return p })
-	r.CounterFunc("exec.serial.runs", "plan executions that stayed on the serial path",
-		func() uint64 { _, s, _ := plan.ExecStats(); return s })
-	r.CounterFunc("exec.parallel.morsels", "morsels processed by the parallel executor",
-		func() uint64 { _, _, m := plan.ExecStats(); return m })
+	r.CounterFunc("exec.serial.runs", "plan executions",
+		func() uint64 { runs, _, _ := plan.ExecStats(); return runs })
 	r.CounterFunc("exec.morsels.skipped", "morsels proven row-free by zone maps and skipped",
-		func() uint64 { sk, _ := plan.SkipStats(); return sk })
+		func() uint64 { _, sk, _ := plan.ExecStats(); return sk })
 	r.CounterFunc("exec.morsels.shortcut", "morsels proven all-match by zone maps and bulk-filled",
-		func() uint64 { _, sc := plan.SkipStats(); return sc })
-	morselLatency := r.LatencyHistogram("exec.morsel.latency.seconds", "per-morsel execution latency in the parallel path")
-	plan.SetMorselObserver(morselLatency.RecordDuration)
+		func() uint64 { _, _, sc := plan.ExecStats(); return sc })
 
 	r.GaugeFunc("cache.ast.size", "parsed-AST cache entries", func() int64 { return int64(e.asts.len()) })
 	r.GaugeFunc("cache.plan.size", "compiled-plan cache entries", func() int64 { return int64(e.plans.len()) })

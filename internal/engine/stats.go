@@ -42,8 +42,7 @@ type Stats struct {
 	Parses          uint64  `json:"parses"`
 	AvgLatencyMs    float64 `json:"avg_latency_ms"`
 	TotalLatencyS   float64 `json:"total_latency_s"`
-	// Zone-map skipping counters (process-global, like the executor's
-	// worker pool): morsels proven row-free and skipped, and morsels
+	// Zone-map skipping counters (process-global): morsels proven row-free and skipped, and morsels
 	// proven all-match and bulk-filled without per-row evaluation.
 	MorselsSkipped  uint64 `json:"morsels_skipped"`
 	MorselsShortcut uint64 `json:"morsels_shortcut"`
@@ -96,7 +95,7 @@ func (e *Engine) Stats() Stats {
 		StoreEvictions:  st.Evictions,
 		StoreGen:        st.Gen,
 	}
-	s.MorselsSkipped, s.MorselsShortcut = plan.SkipStats()
+	_, s.MorselsSkipped, s.MorselsShortcut = plan.ExecStats()
 	if computed := execs + answers; computed > 0 {
 		s.AvgLatencyMs = float64(nanos) / float64(computed) / 1e6
 	}

@@ -45,13 +45,9 @@ var wantNames = []string{
 	"engine.cache.result.misses",
 	"engine.cache.result.size",
 	"engine.errors",
-	"engine.exec.morsel.latency.seconds",
 	"engine.exec.morsels.shortcut",
 	"engine.exec.morsels.skipped",
-	"engine.exec.parallel.morsels",
-	"engine.exec.parallel.runs",
 	"engine.exec.serial.runs",
-	"engine.exec.workers",
 	"engine.executions",
 	"engine.explain.latency.seconds",
 	"engine.gomaxprocs",
@@ -113,7 +109,7 @@ func TestPrometheusGolden(t *testing.T) {
 	eng.Counter("cache.plan.hits", "compiled-plan cache hits").Add(17)
 	eng.Gauge("queue.depth", "admission queue depth").Set(-3)
 	eng.GaugeFunc("cache.plan.size", "compiled-plan cache entries", func() int64 { return 4 })
-	eng.CounterFunc("exec.parallel.morsels", "morsels processed by the parallel executor", func() uint64 { return 21 })
+	eng.CounterFunc("exec.morsels.skipped", "morsels proven row-free by zone maps and skipped", func() uint64 { return 21 })
 	eng.Rate("requests", "requests observed").Add(9)
 	h := eng.LatencyHistogram("explain.latency.seconds", "explain compute latency")
 	h.RecordDuration(1500 * time.Nanosecond)

@@ -72,16 +72,18 @@ func TestSQLPlanDifferential(t *testing.T) {
 }
 
 // TestSQLPlanDifferentialParallel runs the corpus through the plan
-// path twice — serial and with the morsel-parallel executor forced on
-// (8 workers, threshold 1) — and requires identical rows, columns and
-// source bookkeeping. GROUP BY, DISTINCT and projection merges must be
-// order-identical, not just set-identical.
+// path twice — with zone-map skipping disabled and with zone-map
+// consultation forced on every table (threshold 0) — and requires
+// identical rows, columns and source bookkeeping. GROUP BY, DISTINCT
+// and projection outputs must be order-identical, not just
+// set-identical. (The name predates the removal of the morsel-parallel
+// executor this test used to force on instead.)
 func TestSQLPlanDifferentialParallel(t *testing.T) {
-	prevW := plan.SetExecWorkers(8)
-	prevT := plan.SetParallelThreshold(1)
+	prevZOn := plan.SetZoneSkipping(true)
+	prevZT := plan.SetZoneSkipThreshold(0)
 	defer func() {
-		plan.SetExecWorkers(prevW)
-		plan.SetParallelThreshold(prevT)
+		plan.SetZoneSkipping(prevZOn)
+		plan.SetZoneSkipThreshold(prevZT)
 	}()
 	tab := olympics(t)
 	for _, src := range sqlDiffCorpus {
@@ -91,16 +93,16 @@ func TestSQLPlanDifferentialParallel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Parse(%q): %v", src, err)
 			}
-			plan.SetExecWorkers(1)
+			plan.SetZoneSkipping(false)
 			want, werr := Exec(q, tab)
-			plan.SetExecWorkers(8)
+			plan.SetZoneSkipping(true)
 			got, gerr := Exec(q, tab)
 			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("error divergence: serial=%v parallel=%v", werr, gerr)
+				t.Fatalf("error divergence: zones-off=%v zones-forced=%v", werr, gerr)
 			}
 			if werr != nil {
 				if werr.Error() != gerr.Error() {
-					t.Fatalf("error text diverged:\nserial:   %v\nparallel: %v", werr, gerr)
+					t.Fatalf("error text diverged:\nzones-off:    %v\nzones-forced: %v", werr, gerr)
 				}
 				return
 			}

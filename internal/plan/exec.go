@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"nlexplain/internal/table"
 )
@@ -61,10 +62,9 @@ func RunInto(out *Val, n Node, t *table.Table, tr Tracer) error {
 }
 
 // RunIntoCtx is RunInto with cooperative cancellation: the executor
-// polls ctx at morsel boundaries on the parallel path and every
-// ctxCheckRows rows on serial scans, returning ctx.Err() once it
-// fires — so a caller whose deadline expired never burns a full
-// million-row scan. A nil ctx disables the checks.
+// polls ctx every ctxCheckRows rows of a scan, returning ctx.Err()
+// once it fires — so a caller whose deadline expired never burns a
+// full million-row scan. A nil ctx disables the checks.
 func RunIntoCtx(ctx context.Context, out *Val, n Node, t *table.Table, tr Tracer) error {
 	if tr == nil {
 		tr = Noop{}
@@ -74,16 +74,22 @@ func RunIntoCtx(ctx context.Context, out *Val, n Node, t *table.Table, tr Tracer
 	ex := &ar.ex
 	ex.t, ex.tr, ex.trace, ex.ar, ex.ctx = t, tr, tr.Active(), ar, ctx
 	v, err := ex.run(n)
-	if ex.usedParallel {
-		statParallelRuns.Add(1)
-	} else {
-		statSerialRuns.Add(1)
-	}
+	statRuns.Add(1)
 	if err != nil {
 		return err
 	}
 	detachInto(out, v)
 	return nil
+}
+
+// Process-wide execution counters, read through ExecStats.
+var statRuns, statMorselsSkipped, statMorselsShortcut atomic.Uint64
+
+// ExecStats returns the process-wide execution counters: completed
+// plan executions, morsels proven row-free by zone maps and skipped,
+// and morsels proven all-match and bulk-filled.
+func ExecStats() (runs, skipped, shortcut uint64) {
+	return statRuns.Load(), statMorselsSkipped.Load(), statMorselsShortcut.Load()
 }
 
 // detachInto deep-copies v — whose slices live in arena scratch — into
@@ -140,12 +146,23 @@ type executor struct {
 	trace bool
 	ar    *arena
 
-	// ctx, when non-nil, is polled by long scans (serial ticks and
-	// morsel boundaries) so abandoned executions stop early.
+	// ctx, when non-nil, is polled by long scans (see pollCtx) so
+	// abandoned executions stop early.
 	ctx context.Context
-	// usedParallel records whether any kernel took the morsel path,
-	// feeding the parallel/serial run counters.
-	usedParallel bool
+}
+
+// ctxCheckRows is how often scan loops poll the execution context
+// (power of two; checked with a mask).
+const ctxCheckRows = 4096
+
+// pollCtx is the scan-loop cancellation check: index-driven loops call
+// it every iteration and it touches the context once per ctxCheckRows
+// rows.
+func (ex *executor) pollCtx(i int) error {
+	if i&(ctxCheckRows-1) == 0 && ex.ctx != nil {
+		return ex.ctx.Err()
+	}
+	return nil
 }
 
 func (ex *executor) run(n Node) (*Val, error) {
@@ -293,21 +310,6 @@ func (ex *executor) compare(x *Compare) (*Val, error) {
 			// Key identity and Value.Equal disagree here (NaN literal,
 			// or Unicode case folds outside ASCII): scan with the
 			// interpreter's Equal semantics.
-			if ex.goParallel(t.NumRows()) {
-				pr, err := ex.parallelRows(t.NumRows(), func(dst []int, lo, hi int) []int {
-					for r := lo; r < hi; r++ {
-						if t.Value(r, x.Col).Equal(x.V) == want {
-							dst = append(dst, r)
-						}
-					}
-					return dst
-				})
-				if err != nil {
-					return nil, err
-				}
-				rows = pr
-				break
-			}
 			buf := ex.ar.ints.get(t.NumRows())
 			for r := 0; r < t.NumRows(); r++ {
 				if err := ex.pollCtx(r); err != nil {
@@ -327,24 +329,6 @@ func (ex *executor) compare(x *Compare) (*Val, error) {
 		// Entity inequality: complement of the KB posting list, walked
 		// with two pointers so no per-row string comparison happens.
 		eq := t.RowsForKey(x.Col, x.canonicalKey())
-		if ex.goParallel(t.NumRows()) {
-			pr, err := ex.parallelRows(t.NumRows(), func(dst []int, lo, hi int) []int {
-				j := sort.SearchInts(eq, lo)
-				for r := lo; r < hi; r++ {
-					if j < len(eq) && eq[j] == r {
-						j++
-						continue
-					}
-					dst = append(dst, r)
-				}
-				return dst
-			})
-			if err != nil {
-				return nil, err
-			}
-			rows = pr
-			break
-		}
 		buf := ex.ar.ints.get(t.NumRows() - len(eq))
 		j := 0
 		for r := 0; r < t.NumRows(); r++ {
@@ -394,24 +378,9 @@ func (ex *executor) compare(x *Compare) (*Val, error) {
 			rows = zr
 		case useIndex:
 			// Binary search on the cached sorted index + bitset replay is
-			// sublinear in the table size — it beats any parallel direct
-			// scan at every scale, so indexable ranges never take the
-			// morsel path.
+			// sublinear in the table size — it beats a direct scan at
+			// every scale.
 			rows = ex.rangeFromIndex(x.Col, x.Cmp, lit)
-		case ex.goParallel(t.NumRows()):
-			pr, err := ex.parallelRows(t.NumRows(), func(dst []int, lo, hi int) []int {
-				for r := lo; r < hi; r++ {
-					v := t.Value(r, x.Col)
-					if v.IsNumeric() && cmpMatch(x.Cmp, v.Compare(x.V)) {
-						dst = append(dst, r)
-					}
-				}
-				return dst
-			})
-			if err != nil {
-				return nil, err
-			}
-			rows = pr
 		default:
 			sr, err := ex.rangeScan(ex.ar.ints.get(t.NumRows()), x.Col, x.Cmp, x.V)
 			if err != nil {
@@ -507,14 +476,6 @@ func (ex *executor) filter(x *Filter) (*Val, error) {
 	}
 	if zs != nil {
 		rows, err = ex.zoneFilterScan(len(in.Rows), zs, pred)
-		if err != nil {
-			return nil, err
-		}
-	} else if ex.goParallel(len(in.Rows)) && !predHasFunc(x.Pred) {
-		// Compiled non-FuncPred closures are pure column reads, safe to
-		// evaluate from worker goroutines; opaque FuncPreds may run
-		// nested executions and stay serial.
-		rows, err = ex.parallelFilter(in.Rows, pred)
 		if err != nil {
 			return nil, err
 		}
@@ -696,25 +657,13 @@ func (ex *executor) intersect(x *Intersect) (*Val, error) {
 	}
 	inR := ex.ar.rowSet(ex.t.NumRows())
 	inR.AddRows(r.Rows)
-	var rows []int
-	if ex.goParallel(len(l.Rows)) {
-		// The bitset is written before the fork and only read inside it.
-		pr, err := ex.parallelFilter(l.Rows, func(rec int) (bool, error) {
-			return inR.Contains(rec), nil
-		})
-		if err != nil {
+	rows := ex.ar.ints.get(min(len(l.Rows), len(r.Rows)))
+	for i, rec := range l.Rows {
+		if err := ex.pollCtx(i); err != nil {
 			return nil, err
 		}
-		rows = pr
-	} else {
-		rows = ex.ar.ints.get(min(len(l.Rows), len(r.Rows)))
-		for i, rec := range l.Rows {
-			if err := ex.pollCtx(i); err != nil {
-				return nil, err
-			}
-			if inR.Contains(rec) {
-				rows = append(rows, rec)
-			}
+		if inR.Contains(rec) {
+			rows = append(rows, rec)
 		}
 	}
 	v := ex.ar.val(RowsKind)
@@ -824,15 +773,6 @@ func (ex *executor) superlative(x *Superlative) (*Val, error) {
 				}
 				out = idx[:i]
 			}
-		} else if ex.goParallel(len(rows)) {
-			// Subset superlative, morsel-parallel: per-morsel partial
-			// extremes merge exactly (no NaN on an indexable all-numeric
-			// column), then a parallel pass keeps the achieving rows.
-			pr, err := ex.parallelSuperNum(rows, nums, x.Max)
-			if err != nil {
-				return nil, err
-			}
-			out = pr
 		} else {
 			// Subset superlative: one vectorized pass over the float
 			// column, no Value boxing.
@@ -855,7 +795,7 @@ func (ex *executor) superlative(x *Superlative) (*Val, error) {
 		}
 	} else {
 		// Value.Compare is not guaranteed transitive across mixed-kind
-		// or NaN cells, so this fold is order-sensitive and stays serial.
+		// or NaN cells, so this fold is order-sensitive.
 		best := t.Value(rows[0], x.Col)
 		for i, r := range rows[1:] {
 			if err := ex.pollCtx(i); err != nil {
@@ -893,32 +833,23 @@ func (ex *executor) projectCol(x *ProjectCol) (*Val, error) {
 		return nil, err
 	}
 	t := ex.t
-	var vals []table.Value
-	if ex.goParallel(len(in.Rows)) {
-		pv, err := ex.parallelProject(in.Rows, x.Col)
-		if err != nil {
+	keys := t.ColumnKeys(x.Col)
+	d := &ex.ar.ded
+	d.init(len(in.Rows))
+	vals := ex.ar.vals.get(len(in.Rows))
+	var k string
+	// Payloads are row indices; column keys are canonical already, so
+	// candidate confirmation is plain (interned) string equality.
+	eq := func(j int32) bool { return keys[j] == k }
+	for i, r := range in.Rows {
+		if err := ex.pollCtx(i); err != nil {
 			return nil, err
 		}
-		vals = pv
-	} else {
-		keys := t.ColumnKeys(x.Col)
-		d := &ex.ar.ded
-		d.init(len(in.Rows))
-		vals = ex.ar.vals.get(len(in.Rows))
-		var k string
-		// Payloads are row indices; column keys are canonical already, so
-		// candidate confirmation is plain (interned) string equality.
-		eq := func(j int32) bool { return keys[j] == k }
-		for i, r := range in.Rows {
-			if err := ex.pollCtx(i); err != nil {
-				return nil, err
-			}
-			k = keys[r]
-			h := table.HashString(table.FNVOffset, k)
-			if _, found := d.lookup(h, eq); !found {
-				d.insert(h, int32(r))
-				vals = append(vals, t.Value(r, x.Col))
-			}
+		k = keys[r]
+		h := table.HashString(table.FNVOffset, k)
+		if _, found := d.lookup(h, eq); !found {
+			d.insert(h, int32(r))
+			vals = append(vals, t.Value(r, x.Col))
 		}
 	}
 	v := ex.ar.val(ValuesKind)
@@ -1063,23 +994,12 @@ func (ex *executor) aggregate(x *Aggregate) (*Val, error) {
 	if len(in.Values) == 0 {
 		return nil, fmt.Errorf("%s over an empty set", x.Fn)
 	}
-	if ex.goParallel(len(in.Values)) {
-		out, err := ex.parallelAggFold(x.Fn, in.Values)
-		if err != nil {
-			return nil, err
-		}
-		v := ex.ar.val(ScalarKind)
-		v.Values = append(ex.ar.vals.get(1), out)
-		v.Aggr = x.Fn
-		v.Cells = in.Cells
-		return v, nil
-	}
 	var sum float64
 	var extreme table.Value
 	for i, v := range in.Values {
 		f, ok := v.Float()
 		if !ok {
-			return nil, aggTypeError(x.Fn, v)
+			return nil, fmt.Errorf("%s over non-numeric value %q", x.Fn, v)
 		}
 		sum += f
 		switch x.Fn {
@@ -1109,12 +1029,6 @@ func (ex *executor) aggregate(x *Aggregate) (*Val, error) {
 	v.Aggr = x.Fn
 	v.Cells = in.Cells
 	return v, nil
-}
-
-// aggTypeError is the shared non-numeric aggregate error, so the
-// serial and morsel-parallel folds surface byte-identical messages.
-func aggTypeError(fn string, v table.Value) error {
-	return fmt.Errorf("%s over non-numeric value %q", fn, v)
 }
 
 func (ex *executor) arith(x *Arith) (*Val, error) {
@@ -1273,11 +1187,6 @@ func (ex *executor) sqlAggregate(x *SQLAggregate) (*Val, error) {
 	if x.GroupCol < 0 {
 		ngroups = 1
 		groupRows = func(int) []int { return in.Rows }
-	} else if ex.goParallel(len(in.Rows)) {
-		groupRows, ngroups, err = ex.parallelGroup(in.Rows, ex.t.ColumnKeys(x.GroupCol))
-		if err != nil {
-			return nil, err
-		}
 	} else {
 		keys := ex.t.ColumnKeys(x.GroupCol)
 		d := &ex.ar.ded

@@ -611,3 +611,21 @@ func describePred(p Pred) string {
 		return fmt.Sprintf("%T", p)
 	}
 }
+
+// FamilyOf classifies a plan root into a coarse query family for
+// profiling labels: lookup, comparative, superlative, aggregate, sql.
+func FamilyOf(n Node) string {
+	switch x := n.(type) {
+	case *ProjectCol:
+		return FamilyOf(x.Input)
+	case *SQLProject, *SQLAggregate, *Distinct, *Limit, *SQLUnion, *SQLDiff:
+		return "sql"
+	case *Aggregate, *Arith, *MostFrequent, *CompareVals:
+		return "aggregate"
+	case *Superlative, *IndexSuper:
+		return "superlative"
+	case *Compare, *Filter:
+		return "comparative"
+	}
+	return "lookup"
+}

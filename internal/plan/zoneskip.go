@@ -25,9 +25,18 @@ import (
 // default floor of one zone keeps the warm small-table path exactly as
 // allocation-free as before.
 
-// The zone size and the morsel size must stay equal: kernels index a
-// column's zone slice directly by morsel number.
-var _ = [1]struct{}{}[morselRows-table.ZoneRows]
+// morselRows is the scan block size: zone-aware kernels walk the row
+// space one zone at a time and index a column's zone slice directly by
+// morsel number.
+const morselRows = table.ZoneRows
+
+func morselCount(n int) int { return (n + morselRows - 1) / morselRows }
+
+func morselBounds(m, n int) (lo, hi int) {
+	lo = m * morselRows
+	hi = min(lo+morselRows, n)
+	return lo, hi
+}
 
 // zoneVerdict is a predicate's three-valued answer over one zone.
 type zoneVerdict uint8
@@ -46,9 +55,6 @@ var (
 	// 0 means "default" (table.ZoneRows), so an explicit floor of 0 —
 	// used by the forced-skip differential suites — is representable.
 	cfgZoneThreshold atomic.Int64
-
-	statMorselsSkipped  atomic.Uint64
-	statMorselsShortcut atomic.Uint64
 )
 
 // SetZoneSkipping enables or disables zone-map data skipping
@@ -84,13 +90,6 @@ func ZoneSkipThreshold() int {
 	return table.ZoneRows
 }
 
-// SkipStats returns the process-wide zone-skipping counters: morsels
-// skipped as provably empty and morsels short-circuited as provably
-// full.
-func SkipStats() (skipped, shortcut uint64) {
-	return statMorselsSkipped.Load(), statMorselsShortcut.Load()
-}
-
 // zoneScan is one scan's materialized verdict vector: verdicts[m] is
 // the predicate's answer for morsel m, with none/all tallies so
 // callers can tell whether consulting the zones bought anything.
@@ -118,6 +117,22 @@ func (ex *executor) zonePred(p Pred) *zoneScan {
 		return nil
 	}
 	return ex.materializeZones(f)
+}
+
+// predHasFunc reports whether a predicate tree contains an opaque
+// FuncPred closure, whose observed rows zone skipping must not change.
+func predHasFunc(p Pred) bool {
+	switch x := p.(type) {
+	case *FuncPred:
+		return true
+	case *AndPred:
+		return predHasFunc(x.L) || predHasFunc(x.R)
+	case *OrPred:
+		return predHasFunc(x.L) || predHasFunc(x.R)
+	case *NotPred:
+		return predHasFunc(x.P)
+	}
+	return false
 }
 
 // materializeZones evaluates the compiled verdict function over every
@@ -297,31 +312,6 @@ func (ex *executor) zoneRangeFn(col int, op string, lit float64) func(z int) zon
 // Output is identical to the plain scan — ascending, duplicate-free.
 // pred must be a compiled non-FuncPred closure (those never error).
 func (ex *executor) zoneFilterScan(n int, zs *zoneScan, pred func(int) (bool, error)) ([]int, error) {
-	if ex.goParallel(n) {
-		var skipped, shortcut atomic.Uint64
-		rows, err := ex.parallelRows(n, func(dst []int, lo, hi int) []int {
-			switch zs.verdicts[lo/morselRows] {
-			case zoneNone:
-				skipped.Add(1)
-				return dst
-			case zoneAll:
-				shortcut.Add(1)
-				for r := lo; r < hi; r++ {
-					dst = append(dst, r)
-				}
-				return dst
-			}
-			for r := lo; r < hi; r++ {
-				if ok, _ := pred(r); ok {
-					dst = append(dst, r)
-				}
-			}
-			return dst
-		})
-		statMorselsSkipped.Add(skipped.Load())
-		statMorselsShortcut.Add(shortcut.Load())
-		return rows, err
-	}
 	var skipped, shortcut uint64
 	buf := ex.ar.ints.get(n)
 	nm := morselCount(n)
@@ -386,60 +376,32 @@ func (ex *executor) zoneSuperlative(col int, wantMax bool, nums []float64) ([]in
 		}
 	}
 	n := t.NumRows()
-	collect := func(dst []int, lo, hi int) ([]int, bool, bool) {
-		zn := &zones[lo/morselRows]
-		bound := zn.Max
-		if !wantMax {
-			bound = zn.Min
-		}
-		if bound != best {
-			return dst, true, false
-		}
-		if zn.Min == zn.Max {
-			for r := lo; r < hi; r++ {
-				dst = append(dst, r)
-			}
-			return dst, false, true
-		}
-		for r := lo; r < hi; r++ {
-			if nums[r] == best {
-				dst = append(dst, r)
-			}
-		}
-		return dst, false, false
-	}
-	if ex.goParallel(n) {
-		var skipped, shortcut atomic.Uint64
-		rows, err := ex.parallelRows(n, func(dst []int, lo, hi int) []int {
-			out, skip, bulk := collect(dst, lo, hi)
-			if skip {
-				skipped.Add(1)
-			} else if bulk {
-				shortcut.Add(1)
-			}
-			return out
-		})
-		statMorselsSkipped.Add(skipped.Load())
-		statMorselsShortcut.Add(shortcut.Load())
-		if err != nil {
-			return nil, false, err
-		}
-		return rows, true, nil
-	}
 	var skipped, shortcut uint64
 	buf := ex.ar.ints.get(n)
-	nm := morselCount(n)
-	for m := 0; m < nm; m++ {
+	for m := range zones {
 		if err := ex.pollCtx(m * morselRows); err != nil {
 			return nil, false, err
 		}
 		lo, hi := morselBounds(m, n)
-		var skip, bulk bool
-		buf, skip, bulk = collect(buf, lo, hi)
-		if skip {
+		zn := &zones[m]
+		bound := zn.Max
+		if !wantMax {
+			bound = zn.Min
+		}
+		switch {
+		case bound != best:
 			skipped++
-		} else if bulk {
+		case zn.Min == zn.Max:
 			shortcut++
+			for r := lo; r < hi; r++ {
+				buf = append(buf, r)
+			}
+		default:
+			for r := lo; r < hi; r++ {
+				if nums[r] == best {
+					buf = append(buf, r)
+				}
+			}
 		}
 	}
 	statMorselsSkipped.Add(skipped)

@@ -88,29 +88,22 @@ func zoneTestPlans() map[string]Node {
 }
 
 // TestZoneForcedMatchesFullScan is the zone-layer differential gate:
-// with consultation forced on every table, serial and parallel zone
-// scans must reproduce the zones-disabled full scan bitwise — rows,
-// values, witness cells and errors.
+// with consultation forced on every table, zone scans must reproduce
+// the zones-disabled full scan bitwise — rows, values, witness cells
+// and errors.
 func TestZoneForcedMatchesFullScan(t *testing.T) {
 	tab := clusteredZoneTable(t, 120_000)
 	for name, n := range zoneTestPlans() {
 		t.Run(name, func(t *testing.T) {
 			forceZones(t)
-			forceSerial(t)
-			gotS, errS := runPlan(t, n, tab)
-			forceParallel(t)
-			gotP, errP := runPlan(t, n, tab)
+			got, gotErr := runPlan(t, n, tab)
 			zonesOff(t)
-			forceSerial(t)
 			want, wantErr := runPlan(t, n, tab)
-			if wantErr != errS || wantErr != errP {
-				t.Fatalf("error mismatch: full-scan=%q zone-serial=%q zone-parallel=%q", wantErr, errS, errP)
+			if wantErr != gotErr {
+				t.Fatalf("error mismatch: full-scan=%q zone=%q", wantErr, gotErr)
 			}
-			if !reflect.DeepEqual(want, gotS) {
-				t.Fatalf("serial zone scan differs from full scan\nfull: %+v\nzone: %+v", want, gotS)
-			}
-			if !reflect.DeepEqual(want, gotP) {
-				t.Fatalf("parallel zone scan differs from full scan\nfull: %+v\nzone: %+v", want, gotP)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("zone scan differs from full scan\nfull: %+v\nzone: %+v", want, got)
 			}
 		})
 	}
@@ -123,19 +116,18 @@ func TestZoneForcedMatchesFullScan(t *testing.T) {
 func TestZoneScanSkipsAndShortcuts(t *testing.T) {
 	tab := clusteredZoneTable(t, 120_000)
 	forceZones(t)
-	forceSerial(t)
 	num := func(v float64) table.Value { return table.NumberValue(v) }
 
 	narrow := &Filter{Input: &Scan{}, Pred: &AndPred{
 		L: &CmpPred{Col: 0, Op: ">=", V: num(50_000)},
 		R: &CmpPred{Col: 0, Op: "<", V: num(51_000)},
 	}}
-	skipBefore, _ := SkipStats()
+	_, skipBefore, _ := ExecStats()
 	got, errs := runPlan(t, narrow, tab)
 	if errs != "" {
 		t.Fatal(errs)
 	}
-	if skipAfter, _ := SkipStats(); skipAfter == skipBefore {
+	if _, skipAfter, _ := ExecStats(); skipAfter == skipBefore {
 		t.Fatal("narrow range over a monotone column skipped no morsels")
 	}
 	if len(got.Rows) != 1000 || got.Rows[0] != 50_000 {
@@ -143,12 +135,12 @@ func TestZoneScanSkipsAndShortcuts(t *testing.T) {
 	}
 
 	all := &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 0, Op: ">=", V: num(0)}}
-	_, cutBefore := SkipStats()
+	_, _, cutBefore := ExecStats()
 	got, errs = runPlan(t, all, tab)
 	if errs != "" {
 		t.Fatal(errs)
 	}
-	if _, cutAfter := SkipStats(); cutAfter == cutBefore {
+	if _, _, cutAfter := ExecStats(); cutAfter == cutBefore {
 		t.Fatal("always-true range short-circuited no morsels")
 	}
 	if len(got.Rows) != tab.NumRows() {

@@ -25,7 +25,7 @@ func TestSegmentWriteFaultLeavesNoPartial(t *testing.T) {
 			dir := t.TempDir()
 			fs := fault.NewInject(fault.OS, 1, fault.MustParsePlan(plan)...)
 			path := filepath.Join(dir, "seg-001.seg")
-			err := WriteFS(fs, path, testMeta, testRows, nil)
+			err := Write(fs, path, testMeta, testRows, nil)
 			if !errors.Is(err, syscall.ENOSPC) && !errors.Is(err, syscall.EIO) {
 				t.Fatalf("faulted write err = %v, want the injected errno", err)
 			}
@@ -41,10 +41,10 @@ func TestSegmentWriteFaultLeavesNoPartial(t *testing.T) {
 			}
 			// The one-shot rule is exhausted: a retry on the same injector
 			// succeeds and reads back intact.
-			if err := WriteFS(fs, path, testMeta, testRows, nil); err != nil {
+			if err := Write(fs, path, testMeta, testRows, nil); err != nil {
 				t.Fatalf("retry after one-shot fault: %v", err)
 			}
-			_, rows, _, rerr := ReadFS(fs, path)
+			_, rows, _, rerr := Read(fs, path)
 			if rerr != nil || len(rows) != len(testRows) {
 				t.Fatalf("retried segment: rows=%d err=%v", len(rows), rerr)
 			}
@@ -62,13 +62,13 @@ func TestSegmentZonesSurviveFaultRetry(t *testing.T) {
 	zones := tb.ZoneSnapshot()
 	fs := fault.NewInject(fault.OS, 1, fault.MustParsePlan("write:err=EIO:short")...)
 	path := filepath.Join(t.TempDir(), "seg-002.seg")
-	if err := WriteFS(fs, path, testMeta, testRows, zones); err == nil {
+	if err := Write(fs, path, testMeta, testRows, zones); err == nil {
 		t.Fatal("faulted zone write succeeded")
 	}
-	if err := WriteFS(fs, path, testMeta, testRows, zones); err != nil {
+	if err := Write(fs, path, testMeta, testRows, zones); err != nil {
 		t.Fatalf("retry: %v", err)
 	}
-	_, _, gotZones, err := ReadFS(fs, path)
+	_, _, gotZones, err := Read(fs, path)
 	if err != nil || len(gotZones) != len(zones) {
 		t.Fatalf("zone footer after retry: %d columns, err=%v", len(gotZones), err)
 	}
@@ -83,18 +83,18 @@ func TestManifestTornRenameKeepsPrevious(t *testing.T) {
 	prev := &Manifest{Gen: 7, WALSeq: 3, Tables: []TableRef{
 		{Name: "olympics", File: "seg-0000000000000007-0000.seg", Gen: 7, Version: "aa", Rows: 4, Cols: 3},
 	}}
-	if err := WriteManifest(dir, prev); err != nil {
+	if err := WriteManifest(nil, dir, prev); err != nil {
 		t.Fatal(err)
 	}
 
 	fs := fault.NewInject(fault.OS, 1,
 		&fault.Rule{Op: fault.OpRename, Path: ManifestName, Count: fault.Sticky, Err: syscall.EIO})
 	next := &Manifest{Gen: 8, WALSeq: 9}
-	if err := WriteManifestFS(fs, dir, next); !errors.Is(err, syscall.EIO) {
+	if err := WriteManifest(fs, dir, next); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("torn rename err = %v, want EIO", err)
 	}
 
-	got, ok, err := LoadManifest(dir)
+	got, ok, err := LoadManifest(nil, dir)
 	if err != nil || !ok {
 		t.Fatalf("previous manifest unreadable after torn rename: %v %v", ok, err)
 	}
@@ -112,10 +112,10 @@ func TestManifestTornRenameKeepsPrevious(t *testing.T) {
 
 	// Heal: the retried install replaces atomically.
 	fs.Heal()
-	if err := WriteManifestFS(fs, dir, next); err != nil {
+	if err := WriteManifest(fs, dir, next); err != nil {
 		t.Fatalf("healed install: %v", err)
 	}
-	got, _, err = LoadManifest(dir)
+	got, _, err = LoadManifest(nil, dir)
 	if err != nil || got.Gen != 8 || got.WALSeq != 9 {
 		t.Fatalf("healed manifest: %+v %v", got, err)
 	}

@@ -71,14 +71,8 @@ type Meta struct {
 // cell text, row-major, each row len(m.Columns) wide; zones, when
 // non-nil, is the snapshot's per-column zone maps (len(m.Columns)
 // columns wide) persisted in the checksummed footer. The slices are
-// read, never retained.
-func Write(path string, m Meta, rows [][]string, zones [][]table.Zone) error {
-	return WriteFS(fault.OS, path, m, rows, zones)
-}
-
-// WriteFS is Write performing all I/O through fsys (nil means the OS
-// passthrough).
-func WriteFS(fsys fault.FS, path string, m Meta, rows [][]string, zones [][]table.Zone) error {
+// read, never retained. All I/O goes through fsys (nil means the OS).
+func Write(fsys fault.FS, path string, m Meta, rows [][]string, zones [][]table.Zone) error {
 	fsys = fault.Or(fsys)
 	body := appendBody(nil, m, rows, zones)
 	buf := make([]byte, 0, len(magic)+4+len(body))
@@ -164,14 +158,9 @@ func appendBody(b []byte, m Meta, rows [][]string, zones [][]table.Zone) []byte 
 // returned rows are row-major raw cell text; cells repeating a value
 // within a column share one backing string (the dictionary entry).
 // zones is the decoded per-column zone footer — nil for schema-1
-// segments or a schema-2 footer written without zones.
-func Read(path string) (Meta, [][]string, [][]table.Zone, error) {
-	return ReadFS(fault.OS, path)
-}
-
-// ReadFS is Read performing all I/O through fsys (nil means the OS
-// passthrough).
-func ReadFS(fsys fault.FS, path string) (Meta, [][]string, [][]table.Zone, error) {
+// segments or a schema-2 footer written without zones. The file is
+// read through fsys (nil means the OS).
+func Read(fsys fault.FS, path string) (Meta, [][]string, [][]table.Zone, error) {
 	var m Meta
 	data, err := fault.Or(fsys).ReadFile(path)
 	if err != nil {

@@ -27,10 +27,10 @@ var testRows = [][]string{
 
 func TestSegmentRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg-001.seg")
-	if err := Write(path, testMeta, testRows, nil); err != nil {
+	if err := Write(nil, path, testMeta, testRows, nil); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	m, rows, zones, err := Read(path)
+	m, rows, zones, err := Read(nil, path)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -66,10 +66,10 @@ func TestSegmentRoundTrip(t *testing.T) {
 func TestSegmentEmptyTable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.seg")
 	m := Meta{Name: "empty", Gen: 1, Version: "v", Columns: []string{"A", "B"}}
-	if err := Write(path, m, nil, nil); err != nil {
+	if err := Write(nil, path, m, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, rows, _, err := Read(path)
+	got, rows, _, err := Read(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSegmentEmptyTable(t *testing.T) {
 
 func TestSegmentChecksumDetectsFlip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg.seg")
-	if err := Write(path, testMeta, testRows, nil); err != nil {
+	if err := Write(nil, path, testMeta, testRows, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -93,7 +93,7 @@ func TestSegmentChecksumDetectsFlip(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := Read(path); !errors.Is(err, ErrCorrupt) {
+		if _, _, _, err := Read(nil, path); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flip at %d: err=%v, want ErrCorrupt", off, err)
 		}
 	}
@@ -101,13 +101,13 @@ func TestSegmentChecksumDetectsFlip(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Read(path); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := Read(nil, path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated segment: err=%v, want ErrCorrupt", err)
 	}
 	if err := os.WriteFile(path, []byte("nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Read(path); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := Read(nil, path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: err=%v, want ErrCorrupt", err)
 	}
 }
@@ -122,10 +122,10 @@ func TestSegmentZoneFooterRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot covers %d of %d columns", len(zones), len(testMeta.Columns))
 	}
 	path := filepath.Join(t.TempDir(), "zones.seg")
-	if err := Write(path, testMeta, testRows, zones); err != nil {
+	if err := Write(nil, path, testMeta, testRows, zones); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	_, _, got, err := Read(path)
+	_, _, got, err := Read(nil, path)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -168,10 +168,10 @@ func TestSegmentZoneFooterColumnMismatch(t *testing.T) {
 	}
 	zones := tb.ZoneSnapshot()[:2]
 	path := filepath.Join(t.TempDir(), "bad-zones.seg")
-	if err := Write(path, testMeta, testRows, zones); err != nil {
+	if err := Write(nil, path, testMeta, testRows, zones); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Read(path); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := Read(nil, path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("partial zone footer: err=%v, want ErrCorrupt", err)
 	}
 }
@@ -201,7 +201,7 @@ func TestSegmentSchema1BackwardCompat(t *testing.T) {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, rows, zones, err := Read(path)
+	m, rows, zones, err := Read(nil, path)
 	if err != nil {
 		t.Fatalf("schema-1 segment: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestSegmentSchema1BackwardCompat(t *testing.T) {
 
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m, ok, err := LoadManifest(dir)
+	m, ok, err := LoadManifest(nil, dir)
 	if err != nil || ok || m != nil {
 		t.Fatalf("fresh dir: %v %v %v", m, ok, err)
 	}
@@ -226,10 +226,10 @@ func TestManifestRoundTrip(t *testing.T) {
 			{Name: "olympics", File: "seg-0000000000000063-0000.seg", Gen: 98, Version: "ab", Rows: 4, Cols: 3},
 		},
 	}
-	if err := WriteManifest(dir, want); err != nil {
+	if err := WriteManifest(nil, dir, want); err != nil {
 		t.Fatalf("WriteManifest: %v", err)
 	}
-	got, ok, err := LoadManifest(dir)
+	got, ok, err := LoadManifest(nil, dir)
 	if err != nil || !ok {
 		t.Fatalf("LoadManifest: %v %v", ok, err)
 	}
@@ -239,10 +239,10 @@ func TestManifestRoundTrip(t *testing.T) {
 	// Overwrite is atomic-replace, old content fully gone.
 	want.Gen = 100
 	want.Tables = nil
-	if err := WriteManifest(dir, want); err != nil {
+	if err := WriteManifest(nil, dir, want); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = LoadManifest(dir)
+	got, _, err = LoadManifest(nil, dir)
 	if err != nil || got.Gen != 100 || len(got.Tables) != 0 {
 		t.Fatalf("manifest rewrite: %+v %v", got, err)
 	}
@@ -250,7 +250,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte("{\"schema\":1,"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadManifest(dir); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := LoadManifest(nil, dir); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn manifest: err=%v, want ErrCorrupt", err)
 	}
 }

@@ -340,14 +340,14 @@ func (d *durability) listWALSeqs() ([]uint64, error) {
 // segments → WAL tail, in that order, gen-gated so records whose
 // effect is already compacted into a segment replay as no-ops.
 func (d *durability) recover() error {
-	man, ok, err := segment.LoadManifestFS(d.fs, d.dir)
+	man, ok, err := segment.LoadManifest(d.fs, d.dir)
 	if err != nil {
 		return err
 	}
 	startSeq := uint64(1)
 	if ok {
 		for _, ref := range man.Tables {
-			meta, rows, zones, err := segment.ReadFS(d.fs, filepath.Join(d.dir, ref.File))
+			meta, rows, zones, err := segment.Read(d.fs, filepath.Join(d.dir, ref.File))
 			if err != nil {
 				return err
 			}
@@ -389,7 +389,7 @@ func (d *durability) recover() error {
 		// the valid prefix always covers the acked state. Mid-log
 		// damage (ErrCorrupt from the scan) stays fatal.
 		for _, seq := range replay[:n-1] {
-			res, err := wal.ScanFS(d.fs, d.walPath(seq))
+			res, err := wal.Scan(d.fs, d.walPath(seq))
 			if err != nil {
 				return err
 			}
@@ -399,7 +399,7 @@ func (d *durability) recover() error {
 			}
 		}
 	}
-	w, res, err := wal.OpenFS(d.fs, d.walPath(active), d.opts.syncWindow())
+	w, res, err := wal.Open(d.fs, d.walPath(active), d.opts.syncWindow())
 	if err != nil {
 		return err
 	}
@@ -469,7 +469,7 @@ func (d *durability) checkpointLocked() error {
 	d.logMu.Lock()
 	old := d.w
 	newSeq := d.walSeq + 1
-	neww, _, err := wal.OpenFS(d.fs, d.walPath(newSeq), d.opts.syncWindow())
+	neww, _, err := wal.Open(d.fs, d.walPath(newSeq), d.opts.syncWindow())
 	if err != nil {
 		d.logMu.Unlock()
 		return err
@@ -525,7 +525,7 @@ func (d *durability) checkpointLocked() error {
 				Columns: t.Columns(),
 				Rows:    ref.Rows,
 			}
-			if err := segment.WriteFS(d.fs, filepath.Join(d.dir, ref.File), m, t.RawRows(), t.ZoneSnapshot()); err != nil {
+			if err := segment.Write(d.fs, filepath.Join(d.dir, ref.File), m, t.RawRows(), t.ZoneSnapshot()); err != nil {
 				return err
 			}
 		}
@@ -533,7 +533,7 @@ func (d *durability) checkpointLocked() error {
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i].Name < refs[j].Name })
 	man := &segment.Manifest{Gen: d.st.gen.Load(), WALSeq: newSeq, Tables: refs}
-	if err := segment.WriteManifestFS(d.fs, d.dir, man); err != nil {
+	if err := segment.WriteManifest(d.fs, d.dir, man); err != nil {
 		return err
 	}
 	d.lastManifest = man

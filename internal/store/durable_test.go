@@ -336,7 +336,7 @@ func TestDurableCheckpointReusesAndGCs(t *testing.T) {
 	if len(first) != 2 {
 		t.Fatalf("%d segments after first checkpoint, want 2", len(first))
 	}
-	man1, ok, err := segment.LoadManifest(dir)
+	man1, ok, err := segment.LoadManifest(nil, dir)
 	if err != nil || !ok {
 		t.Fatalf("LoadManifest: %v %v", ok, err)
 	}
@@ -362,7 +362,7 @@ func TestDurableCheckpointReusesAndGCs(t *testing.T) {
 	if !second[coldFile] {
 		t.Fatalf("unchanged table's segment %s was rewritten", coldFile)
 	}
-	man2, ok, err := segment.LoadManifest(dir)
+	man2, ok, err := segment.LoadManifest(nil, dir)
 	if err != nil || !ok {
 		t.Fatalf("LoadManifest: %v %v", ok, err)
 	}

@@ -12,13 +12,12 @@ import (
 // the boxed Value structs. It is built once in New alongside the KB
 // index (the keys are shared with the kb map build) and never mutated.
 //
-// Immutability-after-New is what makes the morsel-parallel executor
-// safe: worker goroutines read disjoint [lo,hi) windows of these
-// vectors with no synchronization at all. The only lazily built
-// structure a parallel scan can touch is the sorted numeric index,
-// whose publication is a CAS on atomicIndex below — concurrent
-// builders may do duplicate work but always observe either nil or a
-// fully built, immutable index, never a partial one.
+// Immutability-after-New is what makes concurrent queries over one
+// table safe: their scans read these vectors with no synchronization
+// at all. The only lazily built structure a scan can touch is the
+// sorted numeric index, whose publication is a CAS on atomicIndex
+// below — concurrent builders may do duplicate work but always observe
+// either nil or a fully built, immutable index, never a partial one.
 type columnData struct {
 	keys  []string  // Value.Key() per record
 	nums  []float64 // Value.Float() per record (0 when !isNum[r])

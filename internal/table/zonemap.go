@@ -5,9 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// ZoneRows is the number of records each zone summarises. It equals the
-// plan executor's morsel size, so one zone answers for exactly one
-// morsel and the parallel kernels can index zones by morsel number.
+// ZoneRows is the number of records each zone summarises. The plan
+// executor's zone-aware scans walk the row space in blocks of exactly
+// this size, so one zone answers for exactly one scan block.
 const ZoneRows = 32768
 
 // Zone is the per-block summary of one column over one ZoneRows-aligned
@@ -94,8 +94,8 @@ func computeZones(cd *columnData, n int) []Zone {
 	return zones
 }
 
-// Process-wide zone-map observability, mirroring the style of
-// plan.ExecStats: builds counts every published zone-map build (initial,
+// Process-wide zone-map observability, mirroring the plan executor's
+// process-wide counters: builds counts every published zone-map build (initial,
 // incremental under Append, and rebuilds after eviction); bytes tracks
 // the currently resident zone-map footprint across all tables.
 var (

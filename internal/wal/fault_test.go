@@ -29,9 +29,9 @@ func TestWALFaultSchedules(t *testing.T) {
 		t.Run(plan, func(t *testing.T) {
 			path := tmpLog(t)
 			fs := fault.NewInject(fault.OS, 1, fault.MustParsePlan(plan)...)
-			w, res, err := OpenFS(fs, path, 0)
+			w, res, err := Open(fs, path, 0)
 			if err != nil {
-				t.Fatalf("OpenFS: %v", err)
+				t.Fatalf("Open: %v", err)
 			}
 			if len(res.Records) != 0 {
 				t.Fatalf("fresh log scanned %d records", len(res.Records))
@@ -56,7 +56,7 @@ func TestWALFaultSchedules(t *testing.T) {
 
 			// Recover on the clean OS filesystem: acked records must be
 			// the front of the valid prefix, byte for byte.
-			w2, res2, err := Open(path, 0)
+			w2, res2, err := Open(nil, path, 0)
 			if err != nil {
 				t.Fatalf("clean reopen: %v", err)
 			}
@@ -84,7 +84,7 @@ func TestWALFaultSchedules(t *testing.T) {
 func TestWALLyingSyncStaysConsistent(t *testing.T) {
 	path := tmpLog(t)
 	fs := fault.NewInject(fault.OS, 1, fault.MustParsePlan("wal-*.log:sync:lie:sticky")...)
-	w, _, err := OpenFS(fs, path, 0)
+	w, _, err := Open(fs, path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestWALLyingSyncStaysConsistent(t *testing.T) {
 	if fs.Stats().Faults[fault.OpSync] == 0 {
 		t.Fatal("lying-sync rule never fired")
 	}
-	res, err := Scan(path)
+	res, err := Scan(nil, path)
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
@@ -116,7 +116,7 @@ func tornWALImage(tb testing.TB) []byte {
 	path := filepath.Join(tb.TempDir(), "wal-0000000000000001.log")
 	fs := fault.NewInject(fault.OS, 1,
 		fault.MustParsePlan("wal-*.log:write:after=2:err=ENOSPC:short:sticky")...)
-	w, _, err := OpenFS(fs, path, 0)
+	w, _, err := Open(fs, path, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func FuzzWALReplay(f *testing.F) {
 	// Build a small well-formed log image to seed from.
 	dir := f.TempDir()
 	seedPath := filepath.Join(dir, "seed.log")
-	w, _, err := Open(seedPath, 0)
+	w, _, err := Open(nil, seedPath, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func FuzzWALReplay(f *testing.F) {
 			if werr := os.WriteFile(path, data, 0o644); werr != nil {
 				t.Fatal(werr)
 			}
-			if _, _, oerr := Open(path, 0); oerr == nil {
+			if _, _, oerr := Open(nil, path, 0); oerr == nil {
 				t.Fatalf("parse rejected (%v) but Open accepted", err)
 			}
 			return
@@ -90,7 +90,7 @@ func FuzzWALReplay(f *testing.F) {
 		if werr := os.WriteFile(path, data, 0o644); werr != nil {
 			t.Fatal(werr)
 		}
-		wl, res, oerr := Open(path, 0)
+		wl, res, oerr := Open(nil, path, 0)
 		if oerr != nil {
 			t.Fatalf("parse accepted but Open failed: %v", oerr)
 		}
@@ -104,7 +104,7 @@ func FuzzWALReplay(f *testing.F) {
 		if cerr := wl.Close(); cerr != nil {
 			t.Fatal(cerr)
 		}
-		after, serr := Scan(path)
+		after, serr := Scan(nil, path)
 		if serr != nil {
 			t.Fatalf("rescan after recovery append: %v", serr)
 		}

@@ -73,15 +73,10 @@ type ScanResult struct {
 	Truncated int64
 }
 
-// Scan reads and verifies every record of the log file at path without
-// opening it for writing. Torn tails are reported, not errors;
-// mid-log damage is ErrCorrupt.
-func Scan(path string) (*ScanResult, error) {
-	return ScanFS(fault.OS, path)
-}
-
-// ScanFS is Scan reading through fsys (nil means the OS passthrough).
-func ScanFS(fsys fault.FS, path string) (*ScanResult, error) {
+// Scan reads and verifies every record of the log file at path through
+// fsys (nil means the OS) without opening it for writing. Torn tails
+// are reported, not errors; mid-log damage is ErrCorrupt.
+func Scan(fsys fault.FS, path string) (*ScanResult, error) {
 	data, err := fault.Or(fsys).ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -184,15 +179,10 @@ type WAL struct {
 // file (and fsynced) before the WAL accepts appends, so the file never
 // grows past damage. window is the group-commit window: appends
 // arriving within it share one fsync. A non-positive window syncs
-// every append before it returns.
-func Open(path string, window time.Duration) (*WAL, *ScanResult, error) {
-	return OpenFS(fault.OS, path, window)
-}
-
-// OpenFS is Open performing all I/O through fsys (nil means the OS
-// passthrough). The durability layer threads its fault-injection
+// every append before it returns. All I/O goes through fsys (nil
+// means the OS); the durability layer threads its fault-injection
 // filesystem through here.
-func OpenFS(fsys fault.FS, path string, window time.Duration) (*WAL, *ScanResult, error) {
+func Open(fsys fault.FS, path string, window time.Duration) (*WAL, *ScanResult, error) {
 	fsys = fault.Or(fsys)
 	res := &ScanResult{}
 	if data, err := fsys.ReadFile(path); err == nil {

@@ -19,7 +19,7 @@ func tmpLog(t *testing.T) string {
 
 func mustOpen(t *testing.T, path string, window time.Duration) (*WAL, *ScanResult) {
 	t.Helper()
-	w, res, err := Open(path, window)
+	w, res, err := Open(nil, path, window)
 	if err != nil {
 		t.Fatalf("Open(%s): %v", path, err)
 	}
@@ -45,7 +45,7 @@ func TestWALAppendScanRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	got, err := Scan(path)
+	got, err := Scan(nil, path)
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestWALReopenAppends(t *testing.T) {
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Scan(path)
+	got, err := Scan(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestWALTornTailTruncatedOnOpen(t *testing.T) {
 	// Chop the file at every byte offset inside the final record: the
 	// scan must return the first 4 records and report a torn tail
 	// (or, exactly at the record boundary, a clean log of 4).
-	res, err := Scan(path)
+	res, err := Scan(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestWALTornTailTruncatedOnOpen(t *testing.T) {
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, got, err := Open(path, 0)
+		w, got, err := Open(nil, path, 0)
 		if err != nil {
 			t.Fatalf("cut=%d: Open: %v", cut, err)
 		}
@@ -146,7 +146,7 @@ func TestWALTornTailTruncatedOnOpen(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		after, err := Scan(path)
+		after, err := Scan(nil, path)
 		if err != nil {
 			t.Fatalf("cut=%d: rescan: %v", cut, err)
 		}
@@ -168,10 +168,10 @@ func TestWALMidLogCorruptionIsHardError(t *testing.T) {
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Scan(path); !errors.Is(err, ErrCorrupt) {
+	if _, err := Scan(nil, path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Scan of mid-log damage: err=%v, want ErrCorrupt", err)
 	}
-	if _, _, err := Open(path, 0); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := Open(nil, path, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open of mid-log damage: err=%v, want ErrCorrupt", err)
 	}
 }
@@ -184,7 +184,7 @@ func TestWALInsaneLengthIsHardError(t *testing.T) {
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Scan(path); !errors.Is(err, ErrCorrupt) {
+	if _, err := Scan(nil, path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Scan with insane length: err=%v, want ErrCorrupt", err)
 	}
 }
@@ -196,7 +196,7 @@ func TestWALZeroFillTailTruncated(t *testing.T) {
 	if err := os.WriteFile(path, padded, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Scan(path)
+	res, err := Scan(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestWALGroupCommitConcurrentAppends(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Scan(path)
+	res, err := Scan(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ const (
 	// TableBig is the opt-in scan-throughput table of the bigtable mix:
 	// 10^5-10^7 generated rows, present only in corpora built with
 	// NewCorpusSized(seed, bigRows > 0). It is the table the
-	// morsel-parallel executor path is gated on.
+	// zone-map skipping path is measured on.
 	TableBig = "wl_big"
 )
 
