@@ -34,7 +34,7 @@ BIG_ROWS          = 100000
 SKIP_MIN_GAIN     = 3
 PERF_FLAGS_BIG    = -max-p50-ratio 4 -max-p99-ratio 4 -min-throughput-ratio 0.2 -min-rows-ratio 0.5 -min-morsels-skipped 1 -summary $(PERF_SUMMARY_BIG)
 
-.PHONY: all build test vet fmt cover bench baseline baseline-big perf-gate metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz-wal skipgain serve ci
+.PHONY: all build test vet fmt cover bench baseline baseline-big perf-gate metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal skipgain serve ci
 
 all: build
 
@@ -123,6 +123,14 @@ fault-stress:
 # locally when touching the framing code.
 fuzz-wal:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal/
+
+# fuzz runs the CI fuzz targets for 30s each: WAL replay (above), then
+# the provenance differential — on random qrand queries and workload
+# corpus queries, with zone-map consultation forced, the single traced
+# run's PO/PE/PC and its Section 5.3 sample must equal the Definition
+# 4.1 reference oracle and the brute-force sampler.
+fuzz: fuzz-wal
+	$(GO) test -run '^$$' -fuzz FuzzProvenanceDifferential -fuzztime 30s ./internal/provenance/
 
 # baseline regenerates the checked-in perf-gate baseline with the
 # CI-canonical workload (seed 1, mixed traffic, op-count bound).

@@ -21,6 +21,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"nlexplain/internal/dcs"
 	"nlexplain/internal/export"
@@ -208,7 +209,7 @@ func Open(opts Options) (*Engine, error) {
 		store:      st,
 		asts:       newLRU(opts.CacheSize),
 		plans:      newLRU(opts.CacheSize),
-		results:    newLRU(opts.CacheSize),
+		results:    newByteLRU(opts.CacheSize, resultCacheBytes, explanationBytes),
 		answers:    newLRU(opts.CacheSize),
 		parseCache: newLRU(opts.CacheSize),
 		inflight:   make(map[string]*inflightCall),
@@ -470,6 +471,30 @@ type Explanation struct {
 	Result     string      `json:"result"`
 	Grid       render.Grid `json:"grid"`
 	Provenance ProvJSON    `json:"provenance"`
+}
+
+// resultCacheBytes caps the explanation result cache's estimated
+// resident bytes on top of Options.CacheSize: provenance cell lists
+// make a large table's explanation about a megabyte, so an entry count
+// alone does not bound memory.
+const resultCacheBytes = 32 << 20
+
+// explanationBytes estimates a cached *Explanation's resident bytes:
+// its provenance cell lists, which dominate on large tables, its grid
+// cells (their text is shared with the table) and its strings.
+func explanationBytes(v any) int64 {
+	ex := v.(*Explanation)
+	p := ex.Provenance
+	n := int64(len(p.Output)+len(p.Execution)+len(p.Columns)) * int64(unsafe.Sizeof(ProvCell{}))
+	n += int64(len(ex.Grid.Rows)) * int64(unsafe.Sizeof(0))
+	for _, row := range ex.Grid.Cells {
+		n += int64(len(row)) * int64(unsafe.Sizeof(render.Cell{}))
+	}
+	for _, h := range ex.Grid.Headers {
+		n += int64(len(h))
+	}
+	return n + int64(len(ex.Table)+len(ex.Version)+len(ex.Query)+len(ex.Utterance)+len(ex.SQL)+len(ex.Result)) +
+		int64(unsafe.Sizeof(Explanation{}))
 }
 
 // parseQuery resolves a query string through the AST cache.

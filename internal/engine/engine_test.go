@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"nlexplain/internal/metric"
 	"nlexplain/internal/table"
 )
 
@@ -517,5 +518,82 @@ func TestEngineExplainResultCacheEviction(t *testing.T) {
 	}
 	if after := e.Stats().Executions; after != before+1 {
 		t.Errorf("evicted query did not recompute: executions %d -> %d", before, after)
+	}
+}
+
+// resultBytesGauge reads the engine.cache.result.bytes gauge.
+func resultBytesGauge(t *testing.T, e *Engine) int64 {
+	t.Helper()
+	m, ok := e.Metrics().Get("engine.cache.result.bytes")
+	if !ok {
+		t.Fatal("engine.cache.result.bytes not registered")
+	}
+	return m.(*metric.GaugeFunc).Value()
+}
+
+// TestResultCacheByteBudget: distinct explains over a large table keep
+// the result cache at or under its byte budget however many entries
+// CacheSize would allow, while small-table explanations still fill the
+// cache to CacheSize.
+func TestResultCacheByteBudget(t *testing.T) {
+	ctx := context.Background()
+	const explains = 40 // about a megabyte each on 20k rows: over the budget
+	e := New(Options{Workers: 2})
+	if _, err := e.RegisterTable(bigTable(t, 20000)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < explains; i++ {
+		if _, err := e.Explain(ctx, "big", fmt.Sprintf("R[Nation].Games>%d", 1000*i)); err != nil {
+			t.Fatal(err)
+		}
+		if got := resultBytesGauge(t, e); got > resultCacheBytes {
+			t.Fatalf("after %d explains the result cache holds %d bytes, budget %d", i+1, got, resultCacheBytes)
+		}
+	}
+	if n := e.results.len(); n == 0 || n >= explains {
+		t.Errorf("result cache holds %d of %d large explanations; want some, not all", n, explains)
+	}
+
+	small := New(Options{CacheSize: 8, Workers: 2})
+	small.RegisterTable(olympics(t))
+	for i := 0; i < 20; i++ {
+		if _, err := small.Explain(ctx, "olympics", fmt.Sprintf("count(Year>%d)", 1890+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := small.results.len(); n != 8 {
+		t.Errorf("small-table result cache holds %d entries, want CacheSize 8", n)
+	}
+	if got := resultBytesGauge(t, small); got <= 0 || got > resultCacheBytes {
+		t.Errorf("small-table result cache bytes = %d, want within (0, %d]", got, resultCacheBytes)
+	}
+}
+
+// TestLRUByteBudget: the byte budget evicts least recently used entries,
+// refuses a value larger than the whole budget and keeps its running
+// total through overwrites and purges.
+func TestLRUByteBudget(t *testing.T) {
+	c := newByteLRU(10, 100, func(v any) int64 { return int64(v.(int)) })
+	c.put("a", 40)
+	c.put("b", 40)
+	c.get("a") // b becomes LRU
+	c.put("c", 40)
+	if _, ok := c.get("b"); ok {
+		t.Error("b should have been evicted by the byte budget")
+	}
+	if c.size() != 80 || c.len() != 2 {
+		t.Errorf("size/len = %d/%d, want 80/2", c.size(), c.len())
+	}
+	c.put("huge", 101)
+	if _, ok := c.get("huge"); ok || c.size() != 80 {
+		t.Errorf("an over-budget value was cached or evicted others: size %d", c.size())
+	}
+	c.put("a", 10)
+	if c.size() != 50 {
+		t.Errorf("size after overwrite = %d, want 50", c.size())
+	}
+	c.purgePrefix("a")
+	if c.size() != 40 || c.len() != 1 {
+		t.Errorf("size/len after purge = %d/%d, want 40/1", c.size(), c.len())
 	}
 }

@@ -6,18 +6,25 @@ import (
 	"sync"
 )
 
-// lruCache is a synchronized fixed-capacity LRU map. Values are stored
-// as any; callers own the type discipline per cache instance.
+// lruCache is a synchronized LRU map bounded by entry count and,
+// optionally, by the summed byte estimate of its values. Values are
+// stored as any; callers own the type discipline per cache instance.
 type lruCache struct {
 	mu    sync.Mutex
 	cap   int
 	order *list.List // front = most recently used
 	items map[string]*list.Element
+	// maxBytes, when positive, caps bytes, the sum of sizeOf over the
+	// entries; a value larger than the whole budget is not cached.
+	maxBytes int64
+	sizeOf   func(any) int64
+	bytes    int64
 }
 
 type lruEntry struct {
-	key string
-	val any
+	key  string
+	val  any
+	size int64
 }
 
 func newLRU(capacity int) *lruCache {
@@ -26,6 +33,14 @@ func newLRU(capacity int) *lruCache {
 		order: list.New(),
 		items: make(map[string]*list.Element, capacity),
 	}
+}
+
+// newByteLRU is newLRU with the byte budget maxBytes on top of the
+// entry cap, charging each value sizeOf(value).
+func newByteLRU(capacity int, maxBytes int64, sizeOf func(any) int64) *lruCache {
+	c := newLRU(capacity)
+	c.maxBytes, c.sizeOf = maxBytes, sizeOf
+	return c
 }
 
 // get returns the cached value and refreshes its recency.
@@ -40,22 +55,34 @@ func (c *lruCache) get(key string) (any, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
-// put inserts or refreshes a value, evicting the least recently used
-// entry when over capacity.
+// put inserts or refreshes a value, evicting least recently used
+// entries while over the entry cap or the byte budget.
 func (c *lruCache) put(key string, val any) {
+	var size int64
+	if c.maxBytes > 0 {
+		size = c.sizeOf(val)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).val = val
-		c.order.MoveToFront(el)
+		c.remove(el)
+	}
+	if c.maxBytes > 0 && size > c.maxBytes {
 		return
 	}
-	c.items[key] = c.order.PushFront(&lruEntry{key: key, val: val})
-	for c.order.Len() > c.cap {
-		back := c.order.Back()
-		c.order.Remove(back)
-		delete(c.items, back.Value.(*lruEntry).key)
+	c.items[key] = c.order.PushFront(&lruEntry{key: key, val: val, size: size})
+	c.bytes += size
+	for c.order.Len() > c.cap || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
+		c.remove(c.order.Back())
 	}
+}
+
+// remove drops one entry; callers hold c.mu.
+func (c *lruCache) remove(el *list.Element) {
+	e := el.Value.(*lruEntry)
+	c.order.Remove(el)
+	delete(c.items, e.key)
+	c.bytes -= e.size
 }
 
 // purgePrefix removes every entry whose key starts with prefix — the
@@ -68,8 +95,7 @@ func (c *lruCache) purgePrefix(prefix string) {
 	defer c.mu.Unlock()
 	for key, el := range c.items {
 		if strings.HasPrefix(key, prefix) {
-			c.order.Remove(el)
-			delete(c.items, key)
+			c.remove(el)
 		}
 	}
 }
@@ -79,4 +105,12 @@ func (c *lruCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
+}
+
+// size reports the summed byte estimate of the entries (0 for a cache
+// without a byte budget).
+func (c *lruCache) size() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
 }

@@ -90,6 +90,7 @@ func (e *Engine) initMetrics() {
 	r.GaugeFunc("cache.ast.size", "parsed-AST cache entries", func() int64 { return int64(e.asts.len()) })
 	r.GaugeFunc("cache.plan.size", "compiled-plan cache entries", func() int64 { return int64(e.plans.len()) })
 	r.GaugeFunc("cache.result.size", "explanation result cache entries", func() int64 { return int64(e.results.len()) })
+	r.GaugeFunc("cache.result.bytes", "explanation result cache estimated resident bytes", e.results.size)
 	r.GaugeFunc("cache.answer.size", "answer-only result cache entries", func() int64 { return int64(e.answers.len()) })
 	r.GaugeFunc("cache.parse.size", "semantic-parse candidate cache entries", func() int64 { return int64(e.parseCache.len()) })
 	e.met = m

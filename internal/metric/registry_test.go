@@ -41,6 +41,7 @@ var wantNames = []string{
 	"engine.cache.plan.hits",
 	"engine.cache.plan.misses",
 	"engine.cache.plan.size",
+	"engine.cache.result.bytes",
 	"engine.cache.result.hits",
 	"engine.cache.result.misses",
 	"engine.cache.result.size",

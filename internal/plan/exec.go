@@ -19,7 +19,7 @@ import (
 // source record index, or the computed-row sentinel -1).
 //
 // Cells carries the node's PO witness cells (sorted row-major,
-// duplicate-free — the table.SortedCells form), computed only under an
+// duplicate-free — the table.CellSet form), computed only under an
 // active Tracer; with an inactive tracer it is always nil.
 //
 // During execution Vals and their slices live in a pooled per-run
@@ -672,7 +672,7 @@ func (ex *executor) intersect(x *Intersect) (*Val, error) {
 		// Table 10: PO(records1 ⊓ records2) = PO(records1) ∩ PO(records2).
 		// Both cell sets are sorted and duplicate-free (the Val
 		// invariant), so the intersection is one merge walk.
-		v.Cells = table.IntersectSortedCells(
+		v.Cells = table.IntersectCells(
 			ex.ar.cells.get(min(len(l.Cells), len(r.Cells))), l.Cells, r.Cells)
 	}
 	return v, nil
@@ -697,7 +697,7 @@ func (ex *executor) union(x *Union) (*Val, error) {
 		v.Values = ex.dedupValues(l.Values, r.Values)
 	}
 	if ex.trace {
-		v.Cells = table.MergeSortedCells(
+		v.Cells = table.MergeCells(
 			ex.ar.cells.get(len(l.Cells)+len(r.Cells)), l.Cells, r.Cells)
 	}
 	return v, nil
@@ -1060,7 +1060,7 @@ func (ex *executor) arith(x *Arith) (*Val, error) {
 	v := ex.ar.val(ScalarKind)
 	v.Values = append(ex.ar.vals.get(1), table.NumberValue(out))
 	if ex.trace {
-		v.Cells = table.MergeSortedCells(
+		v.Cells = table.MergeCells(
 			ex.ar.cells.get(len(l.Cells)+len(r.Cells)), l.Cells, r.Cells)
 	}
 	return v, nil

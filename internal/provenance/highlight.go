@@ -2,7 +2,7 @@ package provenance
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"nlexplain/internal/dcs"
 	"nlexplain/internal/table"
@@ -39,13 +39,10 @@ func (m Marking) String() string {
 	}
 }
 
-// Highlights is the result of Algorithm 1: the provenance sets plus the
-// strongest marking of every involved cell.
+// Highlights is the result of Algorithm 1: the provenance sets, from
+// which every cell's strongest marking is read.
 type Highlights struct {
 	Prov *Prov
-	// marks holds the strongest marking per cell; cells absent from the
-	// map are unrelated to the query.
-	marks map[table.CellRef]Marking
 }
 
 // Highlight implements Algorithm 1 (Highlight(Q, T, output=true)): it
@@ -57,7 +54,7 @@ func Highlight(q dcs.Expr, t *table.Table) (*Highlights, error) {
 	if err != nil {
 		return nil, err
 	}
-	return markProv(p), nil
+	return &Highlights{Prov: p}, nil
 }
 
 // HighlightCompiled is Highlight for an already-compiled query,
@@ -75,29 +72,26 @@ func HighlightCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return markProv(p), res, nil
+	return &Highlights{Prov: p}, res, nil
 }
 
-func markProv(p *Prov) *Highlights {
-	h := &Highlights{Prov: p, marks: make(map[table.CellRef]Marking, len(p.Columns))}
-	for c := range p.Columns {
-		h.marks[c] = Lit
+// Marking returns the strongest marking of a cell, by binary search
+// of PO, then PE, then PC.
+func (h *Highlights) Marking(c table.CellRef) Marking {
+	switch p := h.Prov; {
+	case p.Output.Contains(c):
+		return Colored
+	case p.Execution.Contains(c):
+		return Framed
+	case p.Columns.Contains(c):
+		return Lit
 	}
-	for c := range p.Execution {
-		h.marks[c] = Framed
-	}
-	for c := range p.Output {
-		h.marks[c] = Colored
-	}
-	return h
+	return None
 }
-
-// Marking returns the marking of a cell.
-func (h *Highlights) Marking(c table.CellRef) Marking { return h.marks[c] }
 
 // MarkingAt returns the marking of the cell at (row, col).
 func (h *Highlights) MarkingAt(row, col int) Marking {
-	return h.marks[table.CellRef{Row: row, Col: col}]
+	return h.Marking(table.CellRef{Row: row, Col: col})
 }
 
 // HeaderAggr returns the aggregate function marked on a column header,
@@ -108,11 +102,11 @@ func (h *Highlights) HeaderAggr(col int) (dcs.AggrFn, bool) {
 }
 
 // CountByMarking tallies cells per marking, a convenience for tests and
-// experiment reports.
+// experiment reports. PC holds every marked cell.
 func (h *Highlights) CountByMarking() map[Marking]int {
 	out := make(map[Marking]int)
-	for _, m := range h.marks {
-		out[m]++
+	for _, c := range h.Prov.Columns {
+		out[h.Marking(c)]++
 	}
 	return out
 }
@@ -122,51 +116,53 @@ func (h *Highlights) CountByMarking() map[Marking]int {
 // one from RC∖RE, each the earliest such record; queries containing an
 // arithmetic difference contribute one record per subtracted operand
 // (Figure 7 shows the resulting three-row rendering). Records are
-// returned in table order.
+// returned in table order. The strata are walked once each, in row
+// order, stopping at the first record not already chosen.
 func Sample(q dcs.Expr, t *table.Table, h *Highlights) []int {
-	chosen := make(map[int]bool)
-	add := func(rows []int) {
-		if len(rows) > 0 {
-			chosen[rows[0]] = true
+	p := h.Prov
+	chosen := make([]int, 0, 4)
+	add := func(row int) {
+		if i, found := slices.BinarySearch(chosen, row); !found {
+			chosen = slices.Insert(chosen, i, row)
 		}
 	}
-
-	ro := table.NewCellSet(h.Prov.Output.Sorted()...)
-	re := h.Prov.Execution.Minus(h.Prov.Output)
-	rc := h.Prov.Columns.Minus(h.Prov.Execution)
 
 	// Difference queries contribute one output record per operand.
 	if sub := findSub(q); sub != nil {
 		for _, side := range []dcs.Expr{sub.L, sub.R} {
-			if r, err := dcs.Execute(side, t); err == nil {
-				set := table.NewCellSet(r.Cells...)
-				add(set.Rows())
+			if r, err := dcs.Execute(side, t); err == nil && len(r.Cells) > 0 {
+				add(r.Cells[0].Row)
 			}
 		}
-	} else {
-		add(ro.Rows())
+	} else if len(p.Output) > 0 {
+		add(p.Output[0].Row)
 	}
-	add(stratumRows(re, chosen))
-	add(stratumRows(rc, chosen))
-
-	out := make([]int, 0, len(chosen))
-	for r := range chosen {
-		out = append(out, r)
+	if row, ok := firstFresh(p.Execution, p.Output, chosen); ok {
+		add(row)
 	}
-	sort.Ints(out)
-	return out
+	if row, ok := firstFresh(p.Columns, p.Execution, chosen); ok {
+		add(row)
+	}
+	return chosen
 }
 
-// stratumRows returns the rows of a stratum excluding already-chosen
-// records, so each stratum contributes a fresh representative.
-func stratumRows(s table.CellSet, chosen map[int]bool) []int {
-	var out []int
-	for _, r := range s.Rows() {
-		if !chosen[r] {
-			out = append(out, r)
+// firstFresh returns the row of the first cell of s∖o whose
+// record is not yet chosen, so each stratum contributes a fresh
+// representative.
+func firstFresh(s, o table.CellSet, chosen []int) (int, bool) {
+	j := 0
+	for _, c := range s {
+		for j < len(o) && o[j].Less(c) {
+			j++
+		}
+		if j < len(o) && o[j] == c {
+			continue
+		}
+		if !slices.Contains(chosen, c.Row) {
+			return c.Row, true
 		}
 	}
-	return out
+	return 0, false
 }
 
 // findSub locates the outermost arithmetic difference in q, if any.

@@ -16,6 +16,17 @@
 // The chain PO ⊆ PE ⊆ PC (verified by this package's property tests)
 // makes the three sets render as strictly widening highlight layers:
 // colored ⊆ framed ⊆ lit.
+//
+// All three sets come from one traced run of the compiled plan and are
+// kept as table.CellSet, row-major sorted cell lists: PO is the root's
+// witness cells, PE the merge of every operator's, and PC is built row
+// by row over the mentioned columns. Markings are binary searches and
+// Section 5.3 sampling is one linear walk per stratum, so no step
+// builds a map or sorts. The reference oracle in oracle_test.go
+// recomputes PO/PE/PC from Definition 4.1 literally — executing every
+// sub-formula on the legacy interpreter — and the sample by brute
+// force; the test and FuzzProvenanceDifferential hold the traced run
+// to it.
 package provenance
 
 import (
@@ -75,35 +86,18 @@ func ComputeCompiled(c *dcs.Compiled, t *table.Table) (*Prov, *dcs.Result, error
 // threaded into the traced execution; a nil ctx disables the checks.
 func ComputeCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table) (*Prov, *dcs.Result, error) {
 	q := c.Expr
-	p := &Prov{
-		Output:      make(table.CellSet),
-		Execution:   make(table.CellSet),
-		Columns:     make(table.CellSet),
-		HeaderAggrs: make(map[int]dcs.AggrFn),
-	}
-
-	tr := NewCellTracer()
+	tr := &CellTracer{}
 	top, err := c.ExecuteWithCtx(ctx, t, tr)
 	if err != nil {
 		return nil, nil, err
 	}
-	p.Output.AddAll(top.Cells)
-	p.Execution.Union(tr.Cells)
-
-	// PC: all cells of every projected or aggregated column (Equation 3).
-	for _, colName := range dcs.Columns(q) {
-		col, ok := t.ColumnIndex(colName)
-		if !ok {
-			continue // unreachable after Check
-		}
-		p.Columns.AddAll(t.ColumnCells(col))
-	}
-
-	// The chain property PO ⊆ PE ⊆ PC holds by construction for PO/PE;
-	// for PC it holds because every witness cell lives in a mentioned
-	// column. Union PE into PC defensively so the invariant is structural.
-	p.Execution.Union(p.Output)
-	p.Columns.Union(p.Execution)
+	// PO is the root's witness cells, already a sorted CellSet (the
+	// executor's Val invariant). The chain PO ⊆ PE ⊆ PC holds by
+	// construction for PO/PE, and for PC because every witness cell
+	// lives in a mentioned column; the unions keep it structural.
+	p := &Prov{Output: top.Cells, HeaderAggrs: make(map[int]dcs.AggrFn)}
+	p.Execution = union(tr.Cells, p.Output)
+	p.Columns = union(columnCells(q, t), p.Execution)
 
 	// Aggregate functions and their header markers (Algorithm 1, l. 4-5).
 	p.Aggrs = dcs.Aggregates(q)
@@ -156,7 +150,42 @@ func (p *Prov) ColumnRows() []int { return p.Columns.Rows() }
 
 // Levels returns the three provenance sets as row-major sorted cell
 // lists (PO, PE, PC) — the deterministic form serializers and the
-// wtq-server wire format use.
+// wtq-server wire format use. They are the sets themselves: callers
+// must not modify them.
 func (p *Prov) Levels() (po, pe, pc []table.CellRef) {
-	return p.Output.Sorted(), p.Execution.Sorted(), p.Columns.Sorted()
+	return p.Output, p.Execution, p.Columns
+}
+
+// columnCells builds PC's column part (Equation 3): every cell of every
+// column q projects or aggregates on, emitted row by row in column
+// order, so the result is row-major sorted as built.
+func columnCells(q dcs.Expr, t *table.Table) table.CellSet {
+	mentioned := make([]bool, t.NumCols())
+	for _, name := range dcs.Columns(q) {
+		if col, ok := t.ColumnIndex(name); ok { // always, after Check
+			mentioned[col] = true
+		}
+	}
+	var cols []int
+	for col, m := range mentioned {
+		if m {
+			cols = append(cols, col)
+		}
+	}
+	out := make(table.CellSet, 0, len(cols)*t.NumRows())
+	for r := 0; r < t.NumRows(); r++ {
+		for _, col := range cols {
+			out = append(out, table.CellRef{Row: r, Col: col})
+		}
+	}
+	return out
+}
+
+// union returns a ∪ b: a itself when it already holds b, as it does
+// whenever the chain property holds, otherwise a merged copy.
+func union(a, b table.CellSet) table.CellSet {
+	if b.SubsetOf(a) {
+		return a
+	}
+	return table.MergeCells(nil, a, b)
 }

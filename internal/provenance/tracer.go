@@ -22,21 +22,24 @@ type NoopTracer = plan.Noop
 // one-to-one to query sub-expressions (and the rewriter only applies
 // PO-preserving rules), the accumulated union equals PE(Q,T) — the
 // union of PO over QSUB (Equation 2) — without re-executing each
-// sub-query.
+// sub-query. Each operator's cells arrive sorted, so folding them in
+// is one merge walk; the zero value is ready to use.
 type CellTracer struct {
-	// Cells is the accumulated union; allocate with NewCellTracer.
+	// Cells is the accumulated union.
 	Cells table.CellSet
-}
-
-// NewCellTracer returns a CellTracer with an empty accumulator.
-func NewCellTracer() *CellTracer {
-	return &CellTracer{Cells: make(table.CellSet)}
+	// spare is the previous union's buffer, the next merge's target.
+	spare []table.CellRef
 }
 
 // Active reports true: every operator computes its witness cells.
 func (c *CellTracer) Active() bool { return true }
 
-// Operator folds one operator's witness cells into the union.
+// Operator merges one operator's witness cells into the union. The
+// cells live in the executor's arena, so the merge copies them.
 func (c *CellTracer) Operator(_ string, cells []table.CellRef) {
-	c.Cells.AddAll(cells)
+	if len(cells) == 0 {
+		return
+	}
+	merged := table.MergeCells(c.spare[:0], c.Cells, cells)
+	c.spare, c.Cells = c.Cells, merged
 }

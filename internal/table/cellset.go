@@ -1,141 +1,58 @@
 package table
 
 import (
-	"sort"
+	"slices"
 	"strings"
 )
 
 // CellSet is a set of cell references, the codomain of the provenance
-// functions P∗(Q,T) of Definition 4.1.
-type CellSet map[CellRef]struct{}
+// functions P∗(Q,T) of Definition 4.1, held as a row-major sorted,
+// duplicate-free slice. The plan executor produces every witness-cell
+// set in this form (its Val invariant), so set algebra — membership,
+// subset, union, intersection — runs as binary searches and merge
+// walks over slices, allocating nothing beyond the output. DedupCells
+// turns any []CellRef into this form.
+type CellSet []CellRef
 
-// NewCellSet builds a set from the given references.
-func NewCellSet(cells ...CellRef) CellSet {
-	s := make(CellSet, len(cells))
-	for _, c := range cells {
-		s[c] = struct{}{}
-	}
-	return s
-}
-
-// Add inserts a reference.
-func (s CellSet) Add(c CellRef) { s[c] = struct{}{} }
-
-// AddAll inserts every reference in cells.
-func (s CellSet) AddAll(cells []CellRef) {
-	for _, c := range cells {
-		s[c] = struct{}{}
-	}
-}
-
-// Union inserts every member of o into s.
-func (s CellSet) Union(o CellSet) {
-	for c := range o {
-		s[c] = struct{}{}
-	}
-}
-
-// Contains reports membership.
+// Contains reports membership by binary search.
 func (s CellSet) Contains(c CellRef) bool {
-	_, ok := s[c]
+	_, ok := slices.BinarySearchFunc(s, c, compareCells)
 	return ok
 }
 
-// SubsetOf reports whether every member of s is in o. The provenance
-// chain PO ⊆ PE ⊆ PC of Definition 4.1 is verified with this.
+// SubsetOf reports whether every member of s is in o, in one merge
+// walk. The provenance chain PO ⊆ PE ⊆ PC of Definition 4.1 is
+// verified with this.
 func (s CellSet) SubsetOf(o CellSet) bool {
-	for c := range s {
-		if !o.Contains(c) {
+	j := 0
+	for _, c := range s {
+		for j < len(o) && o[j].Less(c) {
+			j++
+		}
+		if j == len(o) || o[j] != c {
 			return false
 		}
+		j++
 	}
 	return true
-}
-
-// Intersect returns a new set holding the members common to s and o.
-func (s CellSet) Intersect(o CellSet) CellSet {
-	out := make(CellSet)
-	for c := range s {
-		if o.Contains(c) {
-			out.Add(c)
-		}
-	}
-	return out
-}
-
-// Minus returns a new set holding the members of s not in o.
-func (s CellSet) Minus(o CellSet) CellSet {
-	out := make(CellSet)
-	for c := range s {
-		if !o.Contains(c) {
-			out.Add(c)
-		}
-	}
-	return out
-}
-
-// Clone returns an independent copy.
-func (s CellSet) Clone() CellSet {
-	out := make(CellSet, len(s))
-	for c := range s {
-		out[c] = struct{}{}
-	}
-	return out
-}
-
-// Sorted returns the members in row-major order.
-func (s CellSet) Sorted() []CellRef {
-	out := make([]CellRef, 0, len(s))
-	for c := range s {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }
 
 // Rows returns the sorted distinct record indices touched by the set —
 // the record-set projection R∗(Q,T) used for sampling in Section 5.3.
 func (s CellSet) Rows() []int {
-	seen := make(map[int]bool)
 	var out []int
-	for c := range s {
-		if !seen[c.Row] {
-			seen[c.Row] = true
+	for _, c := range s {
+		if n := len(out); n == 0 || out[n-1] != c.Row {
 			out = append(out, c.Row)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
-// SortedCells is the small sorted-slice representation of a cell set:
-// a row-major sorted, duplicate-free []CellRef viewed as a set. The
-// plan executor keeps every witness-cell set in this form (its Val
-// invariant), so set algebra on the execution hot path — intersection,
-// union, membership — runs as merge walks and binary searches over
-// slices instead of through CellSet maps, allocating nothing beyond
-// the output slice. Convert to the map form with NewCellSet when
-// incremental mutation is needed (the provenance accumulators).
-type SortedCells []CellRef
-
-// Contains reports membership by binary search.
-func (s SortedCells) Contains(c CellRef) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid].Less(c) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == c
-}
-
-// IntersectSortedCells appends the cells common to a and b — both
-// row-major sorted and duplicate-free — onto dst (usually dst = a
-// scratch slice with len 0) and returns it, sorted and duplicate-free.
-func IntersectSortedCells(dst []CellRef, a, b SortedCells) []CellRef {
+// IntersectCells appends the cells common to a and b onto dst (usually
+// a scratch slice with len 0) and returns it, sorted and
+// duplicate-free.
+func IntersectCells(dst []CellRef, a, b CellSet) []CellRef {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -152,10 +69,9 @@ func IntersectSortedCells(dst []CellRef, a, b SortedCells) []CellRef {
 	return dst
 }
 
-// MergeSortedCells appends the union of a and b — both row-major
-// sorted and duplicate-free — onto dst and returns it, sorted and
-// duplicate-free.
-func MergeSortedCells(dst []CellRef, a, b SortedCells) []CellRef {
+// MergeCells appends the union of a and b onto dst and returns it,
+// sorted and duplicate-free.
+func MergeCells(dst []CellRef, a, b CellSet) []CellRef {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -179,7 +95,7 @@ func MergeSortedCells(dst []CellRef, a, b SortedCells) []CellRef {
 func (s CellSet) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, c := range s.Sorted() {
+	for i, c := range s {
 		if i > 0 {
 			b.WriteByte(' ')
 		}

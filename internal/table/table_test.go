@@ -1,6 +1,7 @@
 package table
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -140,32 +141,102 @@ func TestTableString(t *testing.T) {
 	}
 }
 
+// newCellSet builds a set from references given in any order, with
+// duplicates allowed.
+func newCellSet(cells ...CellRef) CellSet { return DedupCells(cells) }
+
 func TestCellSetOperations(t *testing.T) {
-	a := NewCellSet(CellRef{0, 0}, CellRef{1, 1})
-	b := NewCellSet(CellRef{1, 1}, CellRef{2, 2})
+	a := newCellSet(CellRef{0, 0}, CellRef{1, 1})
+	b := newCellSet(CellRef{1, 1}, CellRef{2, 2})
 	if !a.Contains(CellRef{0, 0}) || a.Contains(CellRef{2, 2}) {
 		t.Error("Contains broken")
 	}
-	u := a.Clone()
-	u.Union(b)
+	u := CellSet(MergeCells(nil, a, b))
 	if len(u) != 3 {
 		t.Errorf("union size = %d, want 3", len(u))
 	}
-	i := a.Intersect(b)
+	i := CellSet(IntersectCells(nil, a, b))
 	if len(i) != 1 || !i.Contains(CellRef{1, 1}) {
 		t.Errorf("intersect = %v", i)
-	}
-	m := a.Minus(b)
-	if len(m) != 1 || !m.Contains(CellRef{0, 0}) {
-		t.Errorf("minus = %v", m)
 	}
 	if !a.SubsetOf(u) || u.SubsetOf(a) {
 		t.Error("SubsetOf broken")
 	}
 }
 
+// TestCellSetAlgebraMatchesMapModel checks every slice-set operation
+// against a map model on random small sets.
+func TestCellSetAlgebraMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	draw := func() (CellSet, map[CellRef]bool) {
+		var cells []CellRef
+		m := map[CellRef]bool{}
+		for n := rng.Intn(12); n > 0; n-- {
+			c := CellRef{Row: rng.Intn(5), Col: rng.Intn(3)}
+			cells = append(cells, c)
+			m[c] = true
+		}
+		return newCellSet(cells...), m
+	}
+	isSet := func(s CellSet) bool { // strictly increasing: sorted, no duplicates
+		for j := 1; j < len(s); j++ {
+			if !s[j-1].Less(s[j]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; i < 2000; i++ {
+		a, am := draw()
+		b, bm := draw()
+		if len(a) != len(am) || !isSet(a) {
+			t.Fatalf("DedupCells = %v, not the sorted distinct members", a)
+		}
+		union, inter := map[CellRef]bool{}, map[CellRef]bool{}
+		subset := true
+		for c := range am {
+			union[c] = true
+			if bm[c] {
+				inter[c] = true
+			} else {
+				subset = false
+			}
+		}
+		for c := range bm {
+			union[c] = true
+		}
+		for _, op := range []struct {
+			name string
+			got  CellSet
+			want map[CellRef]bool
+		}{
+			{"merge", MergeCells(nil, a, b), union},
+			{"intersect", IntersectCells(nil, a, b), inter},
+		} {
+			if len(op.got) != len(op.want) || !isSet(op.got) {
+				t.Fatalf("%s(%v, %v) = %v", op.name, a, b, op.got)
+			}
+			for _, c := range op.got {
+				if !op.want[c] {
+					t.Fatalf("%s(%v, %v) = %v", op.name, a, b, op.got)
+				}
+			}
+		}
+		if a.SubsetOf(b) != subset {
+			t.Fatalf("%v.SubsetOf(%v) = %v", a, b, !subset)
+		}
+		for r := 0; r < 5; r++ {
+			for c := 0; c < 3; c++ {
+				if ref := (CellRef{r, c}); a.Contains(ref) != am[ref] {
+					t.Fatalf("%v.Contains(%v) wrong", a, ref)
+				}
+			}
+		}
+	}
+}
+
 func TestCellSetRows(t *testing.T) {
-	s := NewCellSet(CellRef{3, 0}, CellRef{1, 2}, CellRef{3, 1})
+	s := newCellSet(CellRef{3, 0}, CellRef{1, 2}, CellRef{3, 1})
 	rows := s.Rows()
 	if len(rows) != 2 || rows[0] != 1 || rows[1] != 3 {
 		t.Errorf("Rows = %v, want [1 3]", rows)
@@ -173,12 +244,15 @@ func TestCellSetRows(t *testing.T) {
 }
 
 func TestCellSetSortedDeterministic(t *testing.T) {
-	s := NewCellSet(CellRef{2, 1}, CellRef{0, 5}, CellRef{2, 0})
-	got := s.Sorted()
+	s := CellSet(DedupCells([]CellRef{{2, 1}, {0, 5}, {2, 0}, {0, 5}}))
+	got := s
 	want := []CellRef{{0, 5}, {2, 0}, {2, 1}}
+	if len(got) != len(want) {
+		t.Fatalf("DedupCells = %v, want %v", got, want)
+	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Sorted = %v, want %v", got, want)
+			t.Fatalf("DedupCells = %v, want %v", got, want)
 		}
 	}
 	if s.String() != "{(0,5) (2,0) (2,1)}" {

@@ -86,7 +86,7 @@ type (
 	// CellRef identifies one cell by (row, column).
 	CellRef = table.CellRef
 	// CellSet is a set of cells — the codomain of the provenance
-	// functions.
+	// functions — held as a row-major sorted, duplicate-free slice.
 	CellSet = table.CellSet
 )
 
